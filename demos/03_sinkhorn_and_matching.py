@@ -22,7 +22,7 @@ scores = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
 scores[:, 0] += 3.0
 
 plain = student_assign(scores, temperature=0.1).data
-balanced = sinkhorn_normalize(scores, n_iters=3, temperature=0.1)
+balanced, _ = sinkhorn_normalize(scores, n_iters=3, temperature=0.1)
 print("column mass, plain softmax :",
       np.array2string(plain.sum(axis=0), precision=2))
 print("column mass, after Sinkhorn:",
@@ -32,10 +32,13 @@ print(f"rows still sum to one      : "
 
 # -- 2. temperature controls sharpness --------------------------------------------
 
+# the entropy comes out of the Sinkhorn pass itself, read off
+# log Q = logits + log u + log v; mean_row_entropy recomputes it from Q
 for temp in (1.0, 0.1, 0.05):
-    q = sinkhorn_normalize(scores, 3, temp)
+    q, entropy = sinkhorn_normalize(scores, 3, temp)
     print(f"teacher temperature {temp:>4}: mean target entropy "
-          f"{mean_row_entropy(q):.3f} (max {np.log(4):.3f})")
+          f"{entropy:.3f} (from Q: {mean_row_entropy(q):.3f}, "
+          f"max {np.log(4):.3f})")
 
 # -- 3. nearest-patch matching ----------------------------------------------------
 

@@ -181,6 +181,17 @@ def op_suite(seed=0):
         lambda: losses_mod.cross_entropy(p, pl.student_assign(s, 1.0)) * 0.25,
         {"s": s})))
 
+    # two streamed chunks, the second one partial
+    rows = losses_mod.CE_CHUNK_ROWS + 3
+    x, w = randn(rows, 3, scale=0.5), randn(3, 5, scale=0.5)
+    table = np.abs(rng.normal(0, 1, (7, 5))).astype(np.float32)
+    table /= table.sum(axis=1, keepdims=True)
+    target_rows = rng.integers(0, 7, rows)
+    results.append(("tempered_cross_entropy", check_grads(
+        lambda: losses_mod.tempered_cross_entropy(
+            table, target_rows, x, w, 0.25) * 0.25,
+        {"feats": x, "weight": w})))
+
     return results
 
 

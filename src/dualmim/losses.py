@@ -16,6 +16,7 @@ from .tensor import Tensor
 LOG_EPS = 1e-9     # guards log(0) in cross entropy
 TARGET_EPS = 1e-6  # guards zero variance in target normalization
 _COS_EPS = 1e-8
+CE_CHUNK_ROWS = 256  # rows per streamed chunk of tempered_cross_entropy
 
 
 @dataclass
@@ -31,7 +32,8 @@ class LossReport:
     loss_c: float
     loss_p: float
     total: float
-    total_tensor: object          # scalar Tensor (backward entry point)
+    total_tensor: object          # scalar Tensor (backward entry point);
+                                  # train_step drops it after the step
     mean_cosine: float = 0.0
     patch_target_entropy: float = 0.0
     class_target_entropy: float = 0.0
@@ -86,39 +88,68 @@ def cross_entropy(target_rows, predicted):
     return ce * (1.0 / rows)
 
 
-patch_pseudo_loss = cross_entropy
-class_pseudo_loss = cross_entropy
+def tempered_cross_entropy(targets, target_rows, feats, weight, temperature):
+    """cross_entropy(p, student_assign(feats @ weight, T)) as one fused op.
 
+    `targets`: [N, K_c] table of target distributions (constants);
+    `target_rows`: [R] row of `targets` for each feature row;
+    `feats`: [R, hidden] Tensor (L2-normalized trunk features);
+    `weight`: [hidden, K_c] Tensor (the prototype matrix).
 
-def tempered_cross_entropy(target_rows, scores, temperature):
-    """cross_entropy(target, student_assign(scores, T)) as one fused op.
-
-    The prototype score tensors are large ([B, M, K_c] with K_c in the
-    thousands), so building the tempered softmax, the epsilon guard, and
-    the log as separate tape nodes costs several full passes over the
-    array plus their gradient buffers. This computes the exact log-softmax
-    in the forward pass and applies the closed-form gradient
-    (q * sum(p) - p) / (T * rows) in one step. Matches the composed form
-    up to the LOG_EPS guard (exact log-softmax needs no guard).
+    The scores are [R, K_c] with K_c in the thousands, so they are never
+    stored: rows stream in chunks of CE_CHUNK_ROWS (chunk scores, row max,
+    exp, row sum), and each row adds psum*log(denom) - p.z, with z the
+    max-shifted logits, so log q is never formed either. While a chunk is
+    hot, its closed-form score gradient (q*psum - p) / (T*R) is pushed
+    through the GEMM to the feature rows and the weight; backward only
+    scales those by the upstream gradient. Matches the composed form up to
+    its LOG_EPS guard (exact log-softmax needs no guard).
     """
-    p = np.asarray(target_rows, dtype=np.float32)
-    a = scores if isinstance(scores, Tensor) else Tensor(scores)
-    rows = int(np.prod(p.shape[:-1]))
+    table = np.asarray(targets, dtype=np.float32)
+    rows = np.asarray(target_rows, dtype=np.intp)
+    x = feats if isinstance(feats, Tensor) else Tensor(feats)
+    w = weight if isinstance(weight, Tensor) else Tensor(weight)
+    n, kc = x.shape[0], w.shape[1]
     inv_t = np.float32(1.0 / temperature)
-    z = a.data * inv_t
-    z -= z.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    denom = e.sum(axis=-1, keepdims=True)
-    logq = z - np.log(denom)
-    out_data = np.float32(-(p * logq).sum() / rows)
+    w_t = w.data * inv_t    # logits = feats @ (weight / T)
+    grad_x = np.empty_like(x.data) if x.requires_grad else None
+    grad_w = np.zeros_like(w.data) if w.requires_grad else None
+    chunk = min(n, CE_CHUNK_ROWS)
+    z_buf = np.empty((chunk, kc), np.float32)
+    total = 0.0
+    for lo in range(0, n, chunk):
+        hi = min(lo + chunk, n)
+        xc = x.data[lo:hi]
+        z = np.matmul(xc, w_t, out=z_buf[:hi - lo])
+        z -= z.max(axis=1, keepdims=True)
+        p = table[rows[lo:hi]]
+        # float32 row sums (pairwise), float64 from there on
+        psum = p.sum(axis=1).astype(np.float64)
+        pz = np.einsum("ij,ij->i", p, z)
+        e = np.exp(z, out=z)
+        denom = e.sum(axis=1).astype(np.float64)
+        total += float(psum @ np.log(denom) - pz.sum(dtype=np.float64))
+        if grad_x is None and grad_w is None:
+            continue
+        e *= (psum / denom).astype(np.float32)[:, None]
+        e -= p    # (q*psum - p), the logit gradient times R
+        if grad_x is not None:
+            np.matmul(e, w_t.T, out=grad_x[lo:hi])
+        if grad_w is not None:
+            grad_w += xc.T @ e
+    inv_n = np.float32(1.0 / n)
+    if grad_x is not None:
+        grad_x *= inv_n
+    if grad_w is not None:
+        grad_w *= inv_t * inv_n
 
     def bwd(g):
-        q = e / denom
-        local = (q * p.sum(axis=-1, keepdims=True) - p)
-        local *= np.float32(g * inv_t / rows)
-        a._accumulate(local)
+        if x.requires_grad:
+            x._accumulate(grad_x * g)
+        if w.requires_grad:
+            w._accumulate(grad_w * g)
 
-    return Tensor._result(out_data, (a,), "tempered_ce", bwd)
+    return Tensor._result(np.float32(total / n), (x, w), "tempered_ce", bwd)
 
 
 def total_loss(weights, loss_m=None, loss_c=None, loss_p=None,

@@ -20,11 +20,27 @@ log = logging.getLogger(__name__)
 
 @dataclass
 class ClusterAssignments:
-    """Probability rows over the prototypes for one fold (or the student)."""
-    patch: np.ndarray   # [rows, K_c], each row sums to 1
-    cls: np.ndarray     # [batch, K_c] (class-token assignments)
-    source: str
-    temperature: float
+    """Probability rows over the prototypes for one teacher fold."""
+    patch: np.ndarray   # [B, F, K_c] view into FoldTargets.patch_rows
+    cls: np.ndarray     # [B, K_c] (class-token assignments)
+
+
+@dataclass
+class FoldTargets:
+    """Sinkhorn targets of every fold, iterable as ClusterAssignments.
+
+    The patch rows of all folds live in one fold-major array, so the row
+    of fold k, image b, fold position f is `(k * B + b) * F + f`.
+    """
+    folds: list              # one ClusterAssignments per fold
+    patch_rows: np.ndarray   # [K * B * F, K_c]
+    patch_entropy: float     # mean row entropy (nats) of the patch targets
+
+    def __iter__(self):
+        return iter(self.folds)
+
+    def __len__(self):
+        return len(self.folds)
 
 
 @dataclass
@@ -34,33 +50,39 @@ class MatchResult:
     distance: np.ndarray   # [M] cosine distance of the chosen pair
 
 
-def sinkhorn_normalize(scores, n_iters, temperature, return_colstep=False):
-    """Balanced assignment rows from raw scores.
+def sinkhorn_normalize(scores, n_iters, temperature, out=None):
+    """Balanced assignment rows from raw scores, and their mean entropy.
 
     Q = exp(scores / temperature); then alternate column normalization
     (each column sums to B/K_c) and row normalization (each row sums to 1)
-    for `n_iters` rounds, ending on the row step. With `return_colstep`
-    the intermediate right after the last column step is returned too.
+    for `n_iters` rounds, ending on the row step. The rounds only update
+    the scaling vectors u (rows) and v (columns) of Q = diag(u) E diag(v),
+    with E = exp(logits - max) formed once in float32 and u, v kept in
+    float64; Q is written once, into `out` if given. The mean row entropy
+    is read off log Q = logits - max + log u + log v: with unit rows,
+    H_i = -(sum_j q_ij (logit_ij - max) + log u_i + sum_j q_ij log v_j).
+
+    Returns (Q [B, K_c] float32, mean row entropy in nats).
     """
-    scores = np.asarray(scores, dtype=np.float64)
-    if not np.isfinite(scores).all():
+    s = np.asarray(scores, dtype=np.float32)
+    top, bottom = s.max(), s.min()
+    if not (np.isfinite(top) and np.isfinite(bottom)):
         raise ValueError("sinkhorn_normalize requires finite scores")
-    b, kc = scores.shape
-    logits = scores / temperature
-    # float32 matrix with float64 column/row sums: the normalizations are
-    # what the balance tolerances depend on, and the entries never need
-    # more than f32 once the sums are exact
-    q = np.exp(logits - logits.max()).astype(np.float32)
-    colstep = None
-    for i in range(n_iters):
-        # column step: each column sums to B/K_c
-        q *= ((b / kc) / q.sum(axis=0, keepdims=True,
-                               dtype=np.float64)).astype(np.float32)
-        if return_colstep and i == n_iters - 1:
-            colstep = q.copy()
-        q /= q.sum(axis=1, keepdims=True,
-                   dtype=np.float64).astype(np.float32)
-    return (q, colstep) if return_colstep else q
+    b, kc = s.shape
+    q = np.subtract(s, top, out=np.empty_like(s) if out is None else out)
+    q *= np.float32(1.0 / temperature)
+    np.exp(q, out=q)    # E
+    u = np.ones(b)
+    for _ in range(n_iters):
+        # float32 GEMVs over E (no float64 copy), float64 scaling vectors
+        v = (b / kc) / (u.astype(np.float32) @ q).astype(np.float64)
+        u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
+    q *= v.astype(np.float32)
+    q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
+    # the row-dot runs on the raw scores: sum_j q_ij (s_ij - top) / T
+    lin = (np.einsum("ij,ij->i", q, s) - top) / temperature
+    ent = -(lin + np.log(u) + q @ np.log(v).astype(np.float32))
+    return q, float(ent.mean())
 
 
 def student_assign(scores, temperature):
@@ -71,20 +93,25 @@ def student_assign(scores, temperature):
 def teacher_targets(fold_class_scores, fold_patch_scores, n_iters, temperature):
     """Sinkhorn targets per fold.
 
-    `fold_class_scores`: list of [B, K_c]; `fold_patch_scores`: list of
-    [B, F, K_c] arrays (one per fold). Sinkhorn runs across the batch
-    dimension, folds kept separate; patch rows of one fold are balanced
-    jointly across batch and position.
+    `fold_class_scores`: K arrays [B, K_c]; `fold_patch_scores`: K arrays
+    [B, F, K_c] (or one [K, B, F, K_c] array). Sinkhorn runs across the
+    batch dimension, folds kept separate; patch rows of one fold are
+    balanced jointly across batch and position. Every fold's patch rows
+    are written into one preallocated fold-major array.
     """
-    out = []
-    for k, (cs, ps) in enumerate(zip(fold_class_scores, fold_patch_scores)):
-        b, f, kc = ps.shape
-        cls = sinkhorn_normalize(cs, n_iters, temperature)
-        patch = sinkhorn_normalize(ps.reshape(b * f, kc), n_iters, temperature)
-        out.append(ClusterAssignments(patch=patch.reshape(b, f, kc), cls=cls,
-                                      source=f"teacher_fold_{k}",
-                                      temperature=temperature))
-    return out
+    k = len(fold_patch_scores)
+    b, f, kc = fold_patch_scores[0].shape
+    rows = np.empty((k, b * f, kc), np.float32)
+    folds, entropies = [], []
+    for i, (cs, ps) in enumerate(zip(fold_class_scores, fold_patch_scores)):
+        cls, _ = sinkhorn_normalize(cs, n_iters, temperature)
+        _, ent = sinkhorn_normalize(ps.reshape(b * f, kc), n_iters,
+                                    temperature, out=rows[i])
+        folds.append(ClusterAssignments(patch=rows[i].reshape(b, f, kc),
+                                        cls=cls))
+        entropies.append(ent)
+    return FoldTargets(folds=folds, patch_rows=rows.reshape(k * b * f, kc),
+                       patch_entropy=float(np.mean(entropies)))
 
 
 def _unit_rows(x):

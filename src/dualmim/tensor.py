@@ -35,7 +35,7 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents",
-                 "_backward", "_op")
+                 "_backward", "_op", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float32)

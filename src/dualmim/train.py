@@ -132,28 +132,40 @@ class Trainer:
         return out
 
     def _pseudo_targets(self, patches_complex, pseudo_folds):
-        """Teacher pass of the pseudo-labeling branch; all plain arrays."""
+        """Teacher pass of the pseudo-labeling branch; all plain arrays.
+
+        Returns (pl.FoldTargets, list of K [B, F, D] teacher patch tokens).
+        """
         sk = self.cfg.sinkhorn
-        cls_scores, patch_scores, feats = [], [], []
+        head = self.t_cl_head
+        cls_feats, patch_feats, feats = [], [], []
         for fold in pseudo_folds.folds:
             fold_patches = np.take(patches_complex, fold, axis=1)
             tokens = self.t_cl_encoder(fold_patches, fold)
             feats.append(tokens.data[:, 1:, :])
-            cs, ps = self.t_cl_head(tokens)
-            cls_scores.append(cs.data)
-            patch_scores.append(ps.data)
-        assignments = pl.teacher_targets(cls_scores, patch_scores,
-                                         sk.n_iters, sk.teacher_temperature)
-        return assignments, feats
+            cf, pf = head(tokens)
+            cls_feats.append(cf.data)
+            patch_feats.append(pf.data)
+        # one GEMM per branch over every fold: [K*B*F, hidden] @ [hidden, K_c]
+        patch_feats = np.stack(patch_feats)
+        k, b, f, h = patch_feats.shape
+        patch_scores = (patch_feats.reshape(k * b * f, h)
+                        @ head.patch_out.w.data).reshape(k, b, f, -1)
+        cls_scores = np.stack(cls_feats) @ head.class_out.w.data
+        targets = pl.teacher_targets(cls_scores, patch_scores,
+                                     sk.n_iters, sk.teacher_temperature)
+        return targets, feats
 
     def compute_loss(self, batch, mask, folds, pseudo_folds, rec_tokens,
                      assignments, teacher_feats, frozen_match=None,
                      train=True, dp_rng=None):
         """Student forward + all enabled loss terms.
 
-        Everything teacher-side arrives precomputed as constants. With
-        `frozen_match` set, the patch-target matching from a previous call
-        is reused (finite-difference checks need the argmin frozen).
+        Everything teacher-side arrives precomputed as constants:
+        `assignments` is the teacher's pl.FoldTargets and `teacher_feats`
+        its K [B, F, D] patch tokens. With `frozen_match` set, the
+        patch-target matching from a previous call is reused
+        (finite-difference checks need the argmin frozen).
         """
         cfg = self.cfg
         w = cfg.loss
@@ -175,24 +187,27 @@ class Trainer:
             masked_rows = dec_out.take(mask.masked_indices + 1, axis=1)
             student_tokens = concat(
                 [dec_out.take(np.array([0]), axis=1), masked_rows], axis=1)
-            cls_scores, patch_scores = self.head(student_tokens)
+            cls_feat, patch_feat = self.head(student_tokens)
+            temp = cfg.sinkhorn.student_temperature
             if w.lambda_p > 0:
                 if match is None:
                     match = pl.nearest_patch_match_batch(
                         masked_rows.data, teacher_feats)
                 fold_idx, row_idx = match[0], match[1]
-                stacked = np.stack([a.patch for a in assignments])  # [K,B,F,Kc]
-                b_idx = np.arange(stacked.shape[1])[:, None]
-                matched = stacked[fold_idx, b_idx, row_idx]  # [B, M, Kc]
+                b, m = fold_idx.shape
+                f = teacher_feats[0].shape[1]
+                # row of the fold-major target table per student position
+                rows = (fold_idx * b + np.arange(b)[:, None]) * f + row_idx
                 loss_p = losses_mod.tempered_cross_entropy(
-                    matched, patch_scores,
-                    self.cfg.sinkhorn.student_temperature)
-                patch_entropy = pl.mean_row_entropy(stacked)
+                    assignments.patch_rows, rows.reshape(-1),
+                    patch_feat.reshape((b * m, -1)),
+                    self.head.patch_out.w, temp)
+                patch_entropy = assignments.patch_entropy
             if w.lambda_c > 0:
                 c_target = pl.class_target_average([a.cls for a in assignments])
                 loss_c = losses_mod.tempered_cross_entropy(
-                    c_target, cls_scores,
-                    self.cfg.sinkhorn.student_temperature)
+                    c_target, np.arange(c_target.shape[0]), cls_feat,
+                    self.head.class_out.w, temp)
                 class_entropy = pl.mean_row_entropy(c_target)
 
         report = losses_mod.total_loss(
@@ -241,6 +256,8 @@ class Trainer:
         if report.total_tensor.requires_grad:
             report.total_tensor.backward()
             self.optimizer.step(lr)
+        # the total holds the whole tape; drop it before the next step
+        report.total_tensor = None
         # teacher EMA strictly after the optimizer step
         for st in ({self.t_rec, self.t_cl} - {None}):
             st.opt_step_seen = self.optimizer.step_count
@@ -404,11 +421,12 @@ def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
     f_test = encode_features(encoder, model_cfg, test_ds, augment_cfg)
     rng = np.random.default_rng(seed)
     d = f_train.shape[1]
-    w = Tensor(rng.normal(0, 0.01, (d, 10)).astype(np.float32),
+    n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    w = Tensor(rng.normal(0, 0.01, (d, n_classes)).astype(np.float32),
                requires_grad=True)
-    b = Tensor(np.zeros(10, np.float32), requires_grad=True)
+    b = Tensor(np.zeros(n_classes, np.float32), requires_grad=True)
     opt = AdamW({"w": w, "b": b}, lr=lr, weight_decay=0.0)
-    onehot = np.eye(10, dtype=np.float32)[train_ds.labels]
+    onehot = np.eye(n_classes, dtype=np.float32)[train_ds.labels]
     for _ in range(probe_epochs):
         order = rng.permutation(len(train_ds))
         for lo in range(0, len(order), batch_size):
@@ -439,7 +457,7 @@ def knn_eval(train_feats, train_labels, test_feats, test_labels, k,
     if exclude_self:
         nbr = nbr[:, 1:]
     votes = np.asarray(train_labels)[nbr]
-    pred = np.array([np.bincount(v, minlength=10).argmax() for v in votes])
+    pred = np.array([np.bincount(v).argmax() for v in votes])
     return float((pred == np.asarray(test_labels)).mean())
 
 

@@ -345,9 +345,11 @@ class Decoder:
 
 
 class ProjectionHead:
-    """Shared MLP trunk, then separate final linears for class and patch
-    tokens, both projecting to the prototype dimension. The penultimate
-    feature is L2-normalized before the final layer."""
+    """Shared MLP trunk, then separate prototype matrices for class and
+    patch tokens. The call returns the L2-normalized trunk features; the
+    scores against the prototypes are formed by their consumer (the
+    teacher's Sinkhorn, or the student's fused tempered cross-entropy,
+    which never stores them)."""
 
     def __init__(self, cfg, rng, in_dim):
         self.cfg = cfg
@@ -357,7 +359,7 @@ class ProjectionHead:
         self.class_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
         self.patch_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
         # unit-norm prototype vectors: with the L2-normalized trunk feature
-        # this makes the output a cosine similarity per prototype, so the
+        # this makes each score a cosine similarity per prototype, so the
         # tempered score distribution has usable spread from step one
         for layer in (self.class_out, self.patch_out):
             w = layer.w.data
@@ -371,15 +373,14 @@ class ProjectionHead:
     def __call__(self, tokens):
         """tokens: [B, T+1, D], class token at row 0.
 
-        Returns (class_scores [B, K_c], patch_scores [B, T, K_c]).
+        Returns (class_feats [B, hidden], patch_feats [B, T, hidden]);
+        the scores are `class_feats @ class_out.w` and
+        `patch_feats @ patch_out.w`.
         """
-        t = tokens.shape[1]
+        b, t = tokens.shape[:2]
         feats = self.trunk(tokens)
-        cls_feat = feats.take(np.array([0]), axis=1)
-        patch_feat = feats.take(np.arange(1, t), axis=1)
-        cls_scores = self.class_out(cls_feat).reshape(
-            tokens.shape[0], self.cfg.output_dim)
-        return cls_scores, self.patch_out(patch_feat)
+        cls_feat = feats.take(np.array([0]), axis=1).reshape((b, -1))
+        return cls_feat, feats.take(np.arange(1, t), axis=1)
 
     def params(self):
         out = {}

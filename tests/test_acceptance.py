@@ -76,7 +76,7 @@ def test_criterion_2_sinkhorn():
         kc = int(rng.integers(2, 512))
         # cosine-similarity domain: the head emits unit-norm dot products
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
-        q = sinkhorn_normalize(scores, 3, 0.05)
+        q, _ = sinkhorn_normalize(scores, 3, 0.05)
         worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
 
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
@@ -84,10 +84,10 @@ def test_criterion_2_sinkhorn():
     for _ in range(1000):
         oracle /= oracle.sum(axis=0, keepdims=True)
         oracle /= oracle.sum(axis=1, keepdims=True)
-    fixed_err = float(np.abs(sinkhorn_normalize(scores, 1000, 1.0)
+    fixed_err = float(np.abs(sinkhorn_normalize(scores, 1000, 1.0)[0]
                              - oracle).max())
 
-    uniform = sinkhorn_normalize(np.zeros((8, 16), np.float32), 3, 0.05)
+    uniform, _ = sinkhorn_normalize(np.zeros((8, 16), np.float32), 3, 0.05)
     uni_err = float(np.abs(uniform - 1.0 / 16).max())
 
     ok = worst_row < 1e-5 and fixed_err < 1e-4 and uni_err < 1e-7

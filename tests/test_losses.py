@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from dualmim.errors import NumericError
-from dualmim.losses import (LossWeights, cosine_recon_loss, cross_entropy,
-                            normalize_targets, tempered_cross_entropy, total_loss)
+from dualmim.losses import (CE_CHUNK_ROWS, LossWeights, cosine_recon_loss,
+                            cross_entropy, normalize_targets,
+                            tempered_cross_entropy, total_loss)
 from dualmim.pseudolabel import student_assign
 from dualmim.tensor import Tensor
 
@@ -65,12 +66,21 @@ def test_pseudo_loss_uniform_is_log_k():
     assert abs(loss - np.log(k)) < 1e-3
 
 
+def _ce_on_scores(p, scores, temperature):
+    """The fused op on given scores: identity features make the prototype
+    matrix the score matrix."""
+    rows = np.asarray(p).shape[0]
+    return tempered_cross_entropy(p, np.arange(rows),
+                                  np.eye(rows, dtype=np.float32), scores,
+                                  temperature)
+
+
 def test_pseudo_loss_one_hot_agreement_near_zero():
     p = np.zeros((1, 8), np.float32)
     p[0, 3] = 1.0
     scores = np.full((1, 8), -10.0, np.float32)
     scores[0, 3] = 10.0
-    loss = float(tempered_cross_entropy(p, Tensor(scores), 1.0).data)
+    loss = float(_ce_on_scores(p, scores, 1.0).data)
     assert loss < 1e-4
 
 
@@ -79,7 +89,7 @@ def test_pseudo_loss_matches_scalar_reference():
     p = rng.random((4, 8))
     p /= p.sum(axis=1, keepdims=True)
     scores = rng.standard_normal((4, 8)).astype(np.float32)
-    got = float(tempered_cross_entropy(p, Tensor(scores), 0.1).data)
+    got = float(_ce_on_scores(p, scores, 0.1).data)
     # scalar double-loop reference in float64
     z = scores.astype(np.float64) / 0.1
     acc = 0.0
@@ -97,9 +107,56 @@ def test_class_loss_is_patch_loss_on_one_row():
     # mild logits: the reference cross_entropy clamps log(q + 1e-9), so the
     # two paths only agree where no probability underflows that guard
     scores = Tensor(0.1 * rng.standard_normal((1, 16)).astype(np.float32))
-    a = float(tempered_cross_entropy(p, scores, 0.1).data)
+    a = float(_ce_on_scores(p, scores, 0.1).data)
     b = float(cross_entropy(p, student_assign(scores, 0.1)).data)
     assert abs(a - b) < 1e-4
+
+
+def _fused_vs_composed(rows, hidden, kc, temperature, seed):
+    rng = np.random.default_rng(seed)
+    table = rng.random((rows + 5, kc)).astype(np.float32)
+    table /= table.sum(axis=1, keepdims=True)
+    target_rows = rng.integers(0, rows + 5, rows)
+    x0 = rng.standard_normal((rows, hidden)).astype(np.float32)
+    x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
+    w0 = rng.standard_normal((hidden, kc)).astype(np.float32)
+    w0 /= np.linalg.norm(w0, axis=0, keepdims=True)
+    out = []
+    for fused in (True, False):
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        if fused:
+            loss = tempered_cross_entropy(table, target_rows, x, w,
+                                          temperature)
+        else:
+            loss = cross_entropy(table[target_rows],
+                                 student_assign(x @ w, temperature))
+        loss.backward()
+        out.append((float(loss.data), x.grad, w.grad))
+    return out
+
+
+def test_fused_ce_matches_composed_across_chunks():
+    # cosine scores at T = 0.5 keep every q far above LOG_EPS, so the
+    # composed form's guard changes nothing
+    for rows in (1, CE_CHUNK_ROWS, 2 * CE_CHUNK_ROWS + 7):
+        (lf, xf, wf), (lc, xc, wc) = _fused_vs_composed(rows, 6, 40, 0.5,
+                                                       seed=rows)
+        assert abs(lf - lc) < 1e-5 * max(1.0, abs(lc))
+        assert np.abs(xf - xc).max() < 1e-5
+        assert np.abs(wf - wc).max() < 1e-5
+
+
+def test_fused_ce_without_grad_stays_off_tape():
+    rng = np.random.default_rng(6)
+    table = np.full((3, 5), 0.2, np.float32)
+    x = rng.standard_normal((4, 2)).astype(np.float32)
+    w = Tensor(rng.standard_normal((2, 5)).astype(np.float32))
+    loss = tempered_cross_entropy(table, [0, 1, 2, 0], x, w, 0.5)
+    assert not loss.requires_grad and loss._backward is None
+    tracked = tempered_cross_entropy(table, [0, 1, 2, 0], x,
+                                     Tensor(w.data, requires_grad=True), 0.5)
+    assert float(tracked.data) == float(loss.data)
 
 
 def _scalar(v):

@@ -1,6 +1,7 @@
 """Sinkhorn, assignment, and matching tests."""
 
 import numpy as np
+import pytest
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
@@ -22,30 +23,80 @@ def _sinkhorn_oracle(scores, temperature, iters):
 
 
 def test_sinkhorn_constant_scores_uniform():
-    q = sinkhorn_normalize(np.full((6, 4), 2.5, np.float32), 3, 0.05)
+    q, _ = sinkhorn_normalize(np.full((6, 4), 2.5, np.float32), 3, 0.05)
     assert np.allclose(q, 0.25, atol=1e-7)
 
 
 def test_sinkhorn_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    q = sinkhorn_normalize(rng.standard_normal((64, 256)), 3, 0.05)
+    q, _ = sinkhorn_normalize(rng.standard_normal((64, 256)), 3, 0.05)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
 
 
 def test_sinkhorn_2x2_long_iteration_fixed_point():
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
     oracle = _sinkhorn_oracle(scores, 1.0, 1000)
-    q = sinkhorn_normalize(scores, 1000, 1.0)
+    q, _ = sinkhorn_normalize(scores, 1000, 1.0)
     assert np.abs(q - oracle).max() < 1e-4
 
 
 def test_sinkhorn_column_balance_after_3_iters():
     rng = np.random.default_rng(1)
     b, kc = 64, 256
-    _, colstep = sinkhorn_normalize(rng.standard_normal((b, kc)), 3, 0.05,
-                                    return_colstep=True)
+    scores = rng.standard_normal((b, kc))
     target = b / kc
+    # rebuild the column step of the third iteration on two full ones
+    q2, _ = sinkhorn_normalize(scores, 2, 0.05)
+    colstep = q2 * (target / q2.sum(axis=0, dtype=np.float64))
     assert np.abs(colstep.sum(axis=0) - target).max() < 0.1 * target
+    # and the third row step of it is what three iterations return
+    q3, _ = sinkhorn_normalize(scores, 3, 0.05)
+    assert np.abs(colstep / colstep.sum(axis=1, keepdims=True)
+                  - q3).max() < 1e-6
+
+
+def test_sinkhorn_scaling_vectors_match_f64_oracle():
+    rng = np.random.default_rng(11)
+    for _ in range(25):
+        b = int(rng.integers(1, 300))
+        kc = int(rng.integers(2, 700))
+        temp = float(rng.choice([1.0, 0.1, 0.05]))
+        iters = int(rng.integers(1, 6))
+        scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
+        q, _ = sinkhorn_normalize(scores, iters, temp)
+        assert q.dtype == np.float32
+        assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
+
+
+def test_sinkhorn_in_pass_entropy_matches_rows():
+    rng = np.random.default_rng(12)
+    cases = [(rng.uniform(-1.0, 1.0, (96, 512)), 0.05),
+             (rng.uniform(-1.0, 1.0, (7, 3)), 1.0),
+             (rng.standard_normal((64, 256)), 0.1),
+             # exp underflows to exactly 0 for about an eighth of the entries
+             (rng.standard_normal((64, 256)), 0.05)]
+    for scores, temp in cases:
+        q, entropy = sinkhorn_normalize(scores.astype(np.float32), 3, temp)
+        assert abs(entropy - mean_row_entropy(q)) < 1e-5
+    assert (q == 0.0).mean() > 0.05
+
+
+def test_sinkhorn_writes_into_out():
+    rng = np.random.default_rng(13)
+    scores = rng.uniform(-1.0, 1.0, (12, 20)).astype(np.float32)
+    out = np.empty_like(scores)
+    q, entropy = sinkhorn_normalize(scores, 3, 0.1, out=out)
+    ref, ref_entropy = sinkhorn_normalize(scores, 3, 0.1)
+    assert q is out
+    assert np.array_equal(q, ref) and entropy == ref_entropy
+
+
+def test_sinkhorn_rejects_non_finite():
+    scores = np.zeros((3, 4), np.float32)
+    for bad in (np.nan, np.inf, -np.inf):
+        scores[1, 2] = bad
+        with pytest.raises(ValueError):
+            sinkhorn_normalize(scores, 3, 0.1)
 
 
 def test_teacher_targets_shapes_and_determinism():
@@ -60,6 +111,26 @@ def test_teacher_targets_shapes_and_determinism():
         assert a.cls.shape == (4, 16)
         assert np.array_equal(a.patch, b.patch)
         assert np.array_equal(a.cls, b.cls)
+
+
+def test_teacher_targets_fold_major_rows_and_entropy():
+    rng = np.random.default_rng(14)
+    k, b, f, kc = 3, 4, 5, 16
+    cls = rng.uniform(-1, 1, (k, b, kc)).astype(np.float32)
+    pat = rng.uniform(-1, 1, (k, b, f, kc)).astype(np.float32)
+    out = teacher_targets(cls, pat, 3, 0.05)
+    assert out.patch_rows.shape == (k * b * f, kc)
+    for fold, a in enumerate(out):
+        # each fold's patch rows are a view of the one fold-major array
+        assert np.shares_memory(a.patch, out.patch_rows)
+        q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), 3, 0.05)
+        assert np.array_equal(a.patch.reshape(b * f, kc), q)
+        for bb in range(b):
+            for ff in range(f):
+                assert np.array_equal(
+                    out.patch_rows[(fold * b + bb) * f + ff], a.patch[bb, ff])
+    stacked = np.stack([a.patch for a in out])
+    assert abs(out.patch_entropy - mean_row_entropy(stacked)) < 1e-5
 
 
 def test_assignment_entropy_decreases_with_temperature():
@@ -80,8 +151,10 @@ def test_student_assign_grad_through_ce():
     rng = np.random.default_rng(4)
     s = Tensor(0.5 * rng.standard_normal((3, 6)).astype(np.float32),
                requires_grad=True)
-    p = sinkhorn_normalize(rng.standard_normal((3, 6)), 3, 1.0)
-    loss = lambda: tempered_cross_entropy(p, s, 1.0) * 0.25
+    p, _ = sinkhorn_normalize(rng.standard_normal((3, 6)), 3, 1.0)
+    # identity features make the prototype matrix the score matrix
+    eye = np.eye(3, dtype=np.float32)
+    loss = lambda: tempered_cross_entropy(p, np.arange(3), eye, s, 1.0) * 0.25
     assert check_grads(loss, {"s": s}) <= 1.0
 
 
@@ -146,8 +219,8 @@ def test_match_batch_matches_single():
 
 
 def test_class_average_single_fold_identity():
-    p = sinkhorn_normalize(np.random.default_rng(9).standard_normal((4, 8)),
-                           3, 0.5)
+    p, _ = sinkhorn_normalize(
+        np.random.default_rng(9).standard_normal((4, 8)), 3, 0.5)
     assert np.array_equal(class_target_average([p]), p)
 
 
@@ -162,7 +235,7 @@ def test_class_average_two_one_hots():
 
 def test_class_average_rows_sum_to_one():
     rng = np.random.default_rng(10)
-    folds = [sinkhorn_normalize(rng.standard_normal((6, 16)), 3, 0.5)
+    folds = [sinkhorn_normalize(rng.standard_normal((6, 16)), 3, 0.5)[0]
              for _ in range(3)]
     avg = class_target_average(folds)
     assert np.abs(avg.sum(axis=1) - 1.0).max() < 1e-6

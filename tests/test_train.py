@@ -1,14 +1,17 @@
 """Training-loop, evaluation, and metrics-export tests on tiny configs."""
 
 import os
+import weakref
 
 import numpy as np
 import pytest
 
 from dualmim.config import TrainConfig
-from dualmim.data import Dataset, load_cifar10, make_synthetic_cifar
+from dualmim.data import (Dataset, load_cifar10, make_batch,
+                          make_synthetic_cifar)
 from dualmim.errors import DataError
 from dualmim.gradcheck import tiny_config
+from dualmim.tensor import Tensor
 from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
                            export_metrics, knn_eval, linear_probe, pretrain)
 from dualmim.vit import Encoder
@@ -118,6 +121,43 @@ def test_teacher_update_strictly_after_optimizer(tmp_path, tiny_ds):
     trainer.train_step(batch, 0, 0)
     for st in {trainer.t_rec, trainer.t_cl} - {None}:
         assert st.opt_step_seen == trainer.optimizer.step_count
+
+
+def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
+    cfg = _tiny_cfg()
+    trainer = Trainer(cfg, iters_per_epoch=len(tiny_ds) // 8)
+    seen = []
+    backward = Tensor.backward
+
+    def spy(self):
+        seen.append(weakref.ref(self))
+        return backward(self)
+
+    monkeypatch.setattr(Tensor, "backward", spy)
+    batch = make_batch(tiny_ds, np.arange(8), cfg.seed, 0, cfg.augment)
+    report, *_ = trainer.train_step(batch, 0, 0)
+    assert len(seen) == 1
+    assert report.total_tensor is None and report.total > 0
+    # nothing keeps the step's graph alive once the step has returned
+    assert seen[0]() is None
+
+
+def test_eval_derives_class_count_from_labels(tiny_ds):
+    cfg = _tiny_cfg()
+    enc = Encoder(cfg.model, np.random.default_rng(7))
+    # a 12-class dataset: labels 10 and 11 lie beyond CIFAR-10's 0..9
+    ds = Dataset(labels=(np.arange(len(tiny_ds)) % 12).astype(np.uint8),
+                 images=tiny_ds.images)
+    assert 0.0 <= linear_probe(enc, cfg.model, ds, ds, probe_epochs=1) <= 1.0
+    ds = Dataset(labels=np.full(len(tiny_ds), 11, np.uint8),
+                 images=tiny_ds.images)
+    assert linear_probe(enc, cfg.model, ds, ds, probe_epochs=3) == 1.0
+    rng = np.random.default_rng(8)
+    labels = np.arange(48) % 12
+    feats = rng.standard_normal((48, 16)).astype(np.float32)
+    assert knn_eval(feats, labels, feats, labels, k=1) == 1.0
+    assert knn_eval(feats, labels, feats[labels >= 10], labels[labels >= 10],
+                    k=1) == 1.0
 
 
 def test_random_probe_near_chance(tiny_ds):

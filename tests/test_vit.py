@@ -138,8 +138,13 @@ def test_head_output_shapes():
     head = ProjectionHead(cfg, np.random.default_rng(20), 64)
     c, p = head(Tensor(np.random.default_rng(21).standard_normal(
         (1, 17, 64)).astype(np.float32)))
-    assert c.shape == (1, 4096)
-    assert p.shape == (1, 16, 4096)
+    assert c.shape == (1, 16)
+    assert p.shape == (1, 16, 16)
+    # L2-normalized trunk features (up to l2_normalize's eps), scored
+    # against K_c prototypes
+    assert np.allclose(np.linalg.norm(p.data, axis=-1), 1.0, atol=1e-3)
+    assert (c.data @ head.class_out.w.data).shape == (1, 4096)
+    assert (p.data @ head.patch_out.w.data).shape == (1, 16, 4096)
 
 
 def test_head_swap_final_layers_keeps_trunk():
@@ -147,13 +152,18 @@ def test_head_swap_final_layers_keeps_trunk():
     tokens = Tensor(np.random.default_rng(22).standard_normal(
         (1, 4, 8)).astype(np.float32))
     trunk_before = head.trunk(tokens).data.copy()
-    c1, p1 = head(tokens)
+
+    def scores():
+        c, p = head(tokens)
+        return c.data @ head.class_out.w.data, p.data @ head.patch_out.w.data
+
+    c1, p1 = scores()
     head.class_out.w.data, head.patch_out.w.data = \
         head.patch_out.w.data.copy(), head.class_out.w.data.copy()
-    c2, p2 = head(tokens)
+    c2, p2 = scores()
     assert np.array_equal(head.trunk(tokens).data, trunk_before)
-    assert not np.array_equal(c1.data, c2.data)
-    assert not np.array_equal(p1.data, p2.data)
+    assert not np.array_equal(c1, c2)
+    assert not np.array_equal(p1, p2)
 
 
 def test_head_prototypes_unit_norm_at_init():
