@@ -97,5 +97,4 @@ def maybe_update(teacher, student_params, iteration, epoch, at_epoch_end):
     m = teacher.momentum(t)
     ema_update(teacher, student_params, m)
     teacher.update_count += 1
-    teacher.last_momentum = m
     return True

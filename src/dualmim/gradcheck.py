@@ -21,7 +21,8 @@ from . import pseudolabel as pl
 from .config import TrainConfig
 from .data import Batch
 from .optim import AdamW
-from .tensor import Tensor, gelu, layernorm, softmax
+from .tensor import (Tensor, attention, gelu, l2_normalize, layernorm,
+                     linear, softmax)
 from .train import Trainer
 from .vit import ProjectionHeadConfig, ViTConfig
 
@@ -140,6 +141,25 @@ def op_suite(seed=0):
     results.append(("layernorm", check_grads(
         lambda: (layernorm(x, g, be) * layernorm(x, g, be)).mean() * 0.25,
         {"x": x, "gamma": g, "beta": be})))
+
+    x, g, be = randn(2, 3, 6), randn(6), randn(6)
+    results.append(("layernorm_3d", check_grads(
+        lambda: (layernorm(x, g, be) * layernorm(x, g, be)).mean() * 0.25,
+        {"x": x, "gamma": g, "beta": be})))
+
+    x, w, bias = randn(2, 3, 4), randn(4, 5), randn(5)
+    c = const(2, 3, 5)
+    results.append(("linear", check_grads(
+        lambda: (linear(x, w, bias) * c).mean(), {"x": x, "w": w, "b": bias})))
+
+    q, k, v = randn(2, 5, 4), randn(2, 5, 4), randn(2, 5, 4)
+    w = const(2, 5, 4)
+    results.append(("attention", check_grads(
+        lambda: (attention(q, k, v, 2) * w).mean(), {"q": q, "k": k, "v": v})))
+
+    x, w = randn(3, 5), const(3, 5)
+    results.append(("l2_normalize", check_grads(
+        lambda: (l2_normalize(x, axis=-1) * w).mean(), {"x": x})))
 
     x = randn(4, 7)
     w = const(4, 7)

@@ -17,6 +17,11 @@ from .tensor import softmax
 
 log = logging.getLogger(__name__)
 
+# A row whose max is this many temperatures below the global max is
+# exponentiated against its own max: exp(-64) is still a normal float32.
+ROW_SHIFT_T = 64.0
+_F32_TINY = float(np.finfo(np.float32).tiny)
+
 
 @dataclass
 class ClusterAssignments:
@@ -57,10 +62,15 @@ def sinkhorn_normalize(scores, n_iters, temperature, out=None):
     (each column sums to B/K_c) and row normalization (each row sums to 1)
     for `n_iters` rounds, ending on the row step. The rounds only update
     the scaling vectors u (rows) and v (columns) of Q = diag(u) E diag(v),
-    with E = exp(logits - max) formed once in float32 and u, v kept in
-    float64; Q is written once, into `out` if given. The mean row entropy
-    is read off log Q = logits - max + log u + log v: with unit rows,
-    H_i = -(sum_j q_ij (logit_ij - max) + log u_i + sum_j q_ij log v_j).
+    with E = exp(logits - shift) formed once in float32 and u, v kept in
+    float64; Q is written once, into `out` if given. The shift is the
+    global max, except on a row whose max sits more than ROW_SHIFT_T
+    temperatures below it: that row is shifted by its own max, so it keeps
+    a 1 and cannot underflow, and the starting u absorbs the difference
+    exactly. A column whose every entry underflows gets zero mass. The
+    mean row entropy is read off log Q = logits - shift + log u + log v:
+    with unit rows, H_i = -(sum_j q_ij (logit_ij - shift_i) + log u_i +
+    sum_j q_ij log v_j), where a zero-mass column adds nothing.
 
     Returns (Q [B, K_c] float32, mean row entropy in nats).
     """
@@ -69,19 +79,24 @@ def sinkhorn_normalize(scores, n_iters, temperature, out=None):
     if not (np.isfinite(top) and np.isfinite(bottom)):
         raise ValueError("sinkhorn_normalize requires finite scores")
     b, kc = s.shape
-    q = np.subtract(s, top, out=np.empty_like(s) if out is None else out)
+    row_max = s.max(axis=1)
+    shift = np.where(row_max < top - ROW_SHIFT_T * temperature, row_max, top)
+    q = np.subtract(s, shift[:, None],
+                    out=np.empty_like(s) if out is None else out)
     q *= np.float32(1.0 / temperature)
     np.exp(q, out=q)    # E
-    u = np.ones(b)
+    u = np.exp((shift.astype(np.float64) - top) / temperature)
     for _ in range(n_iters):
         # float32 GEMVs over E (no float64 copy), float64 scaling vectors
-        v = (b / kc) / (u.astype(np.float32) @ q).astype(np.float64)
+        col = (u.astype(np.float32) @ q).astype(np.float64)
+        v = np.divide(b / kc, col, out=np.zeros(kc), where=col >= _F32_TINY)
         u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
     q *= v.astype(np.float32)
     q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
-    # the row-dot runs on the raw scores: sum_j q_ij (s_ij - top) / T
-    lin = (np.einsum("ij,ij->i", q, s) - top) / temperature
-    ent = -(lin + np.log(u) + q @ np.log(v).astype(np.float32))
+    # the row-dot runs on the raw scores: sum_j q_ij (s_ij - shift_i) / T
+    lin = (np.einsum("ij,ij->i", q, s) - shift) / temperature
+    log_v = np.log(v, out=np.zeros(kc), where=v > 0)
+    ent = -(lin + np.log(u) + q @ log_v.astype(np.float32))
     return q, float(ent.mean())
 
 

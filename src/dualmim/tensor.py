@@ -3,14 +3,27 @@
 Define-by-run: every op on tensors that require grad records a backward
 closure; the graph is rebuilt on each forward pass and discarded after
 ``backward()``. Single-threaded; one graph belongs to one training step.
+Inside ``no_grad()`` no op records anything, so frozen inference keeps no
+tape alive.
+
+The transformer primitives (`linear`, `attention`, `layernorm`, `gelu`,
+`l2_normalize`) are single tape nodes with closed-form backward.
+
+Gradient buffers are shared, not copied: `_accumulate` stores the first
+gradient a tensor receives by reference (it may be a view, or a buffer
+another node also received) and allocates only when a second one arrives.
+Hence the contract: no backward closure may write into its incoming `g`,
+or into an array it has passed to `_accumulate`.
 """
 
+import contextlib
 import itertools
 import math
 
 import numpy as np
 
 _node_counter = itertools.count()
+_recording = True   # False inside no_grad()
 
 # tanh GELU constants
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -35,11 +48,12 @@ class Tensor:
     """
 
     __slots__ = ("data", "grad", "requires_grad", "node_id", "_parents",
-                 "_backward", "_op", "__weakref__")
+                 "_backward", "_op", "_grad_owned", "__weakref__")
 
     def __init__(self, data, requires_grad=False, _parents=(), _op="leaf"):
         self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
+        self._grad_owned = False
         self.requires_grad = bool(requires_grad)
         self.node_id = next(_node_counter)
         self._parents = _parents
@@ -65,7 +79,7 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, op, backward):
-        track = any(p.requires_grad for p in parents)
+        track = _recording and any(p.requires_grad for p in parents)
         out = Tensor(data, requires_grad=track,
                      _parents=parents if track else (), _op=op)
         if track:
@@ -73,10 +87,18 @@ class Tensor:
         return out
 
     def _accumulate(self, g):
+        """Add `g` to `grad`, copy-on-write (see the module docstring)."""
         if self.grad is None:
-            self.grad = np.array(g, dtype=np.float32, copy=True)
-        else:
+            if (type(g) is np.ndarray and g.dtype == np.float32
+                    and g.shape == self.shape):
+                self.grad, self._grad_owned = g, False
+            else:
+                self.grad, self._grad_owned = np.array(g, dtype=np.float32), True
+        elif self._grad_owned:
             self.grad += g
+        else:
+            self.grad = np.add(self.grad, g, out=np.empty(self.shape, np.float32))
+            self._grad_owned = True
 
     def backward(self):
         """Populate `grad` of every requires_grad tensor reachable from here.
@@ -224,26 +246,23 @@ class Tensor:
 
         return self._result(a.data.reshape(shape), (a,), "reshape", bwd)
 
-    def transpose(self, axes):
-        a = self
-        inv = np.argsort(axes)
-
-        def bwd(g):
-            a._accumulate(g.transpose(inv))
-
-        return self._result(a.data.transpose(axes), (a,), "transpose", bwd)
-
     def take(self, indices, axis):
         """Gather rows along `axis` with an integer index array.
 
-        Backward scatter-adds, so repeated indices accumulate.
+        Backward scatters; repeated indices accumulate (`np.add.at`), while
+        unique ones, decided once here, take a plain assignment.
         """
         a = self
         idx = np.asarray(indices, dtype=np.intp)
+        unique = np.unique(idx % a.shape[axis]).size == idx.size
+        where = (slice(None),) * axis + (idx,)
 
         def bwd(g):
             full = np.zeros(a.shape, dtype=np.float32)
-            np.add.at(full, (slice(None),) * axis + (idx,), g)
+            if unique:
+                full[where] = g
+            else:
+                np.add.at(full, where, g)
             a._accumulate(full)
 
         return self._result(a.data.take(idx, axis=axis), (a,), "take", bwd)
@@ -273,6 +292,17 @@ def ensure_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every result has requires_grad False."""
+    global _recording
+    prev, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = prev
+
+
 # -- nonlinearities and composite ops --------------------------------------
 
 def softmax(x, axis=-1):
@@ -289,25 +319,118 @@ def softmax(x, axis=-1):
     return Tensor._result(out_data, (a,), "softmax", bwd)
 
 
-def gelu(x):
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3)))."""
-    a = ensure_tensor(x)
-    xd = a.data
-    sq = xd * xd
-    inner = _GELU_C * (xd + _GELU_A * (sq * xd))
-    t = np.tanh(inner)
-    out_data = 0.5 * xd * (1.0 + t)
+def linear(x, w, b=None):
+    """x [..., d_in] @ w [d_in, d_out] (+ b) as one node.
+
+    The leading dims are flattened into one 2-D GEMM; a batched
+    [B, T, d_in] @ [d_in, d_out] would otherwise build a [B, d_in, d_out]
+    temporary in the weight-gradient pass.
+    """
+    x = ensure_tensor(x)
+    d_in, d_out = w.shape
+    x2 = x.data.reshape(-1, d_in)
+    y = x2 @ w.data
+    if b is not None:
+        y += b.data
 
     def bwd(g):
-        sech2 = 1.0 - t * t
-        local = 0.5 * (1.0 + t) + 0.5 * xd * sech2 * _GELU_C * (1.0 + 3.0 * _GELU_A * sq)
-        a._accumulate(g * local.astype(np.float32))
+        g2 = g.reshape(-1, d_out)
+        if x.requires_grad:
+            x._accumulate((g2 @ w.data.T).reshape(x.shape))
+        if w.requires_grad:
+            w._accumulate(x2.T @ g2)
+        if b is not None and b.requires_grad:
+            b._accumulate(g2.sum(axis=0))
 
-    return Tensor._result(out_data, (a,), "gelu", bwd)
+    parents = (x, w) if b is None else (x, w, b)
+    return Tensor._result(y.reshape(x.shape[:-1] + (d_out,)), parents,
+                          "linear", bwd)
+
+
+def attention(q, k, v, num_heads):
+    """Multi-head softmax(q k^T / sqrt(hd)) v on [B, T, D] inputs, one node.
+
+    Splits the heads, forms the scores and their softmax in place on one
+    [B, H, T, T] buffer, applies it to v and merges the heads. Backward
+    keeps only the probabilities: dv = att^T g, ds = att * (g v^T -
+    rowsum(g v^T * att)) / sqrt(hd), dq = ds k, dk = ds^T q.
+    """
+    b, t, d = q.shape
+    hd = d // num_heads
+    scale = np.float32(1.0 / np.sqrt(hd))
+
+    def heads(z):   # [B, T, D] -> [B, H, T, hd] view
+        return z.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+
+    def merge(z):   # [B, H, T, hd] -> [B, T, D] contiguous
+        return z.transpose(0, 2, 1, 3).reshape(b, t, d)
+
+    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    att = qh @ kh.transpose(0, 1, 3, 2)
+    att *= scale
+    att -= att.max(axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= att.sum(axis=-1, keepdims=True)
+
+    def bwd(g):
+        gh = heads(g)
+        if v.requires_grad:
+            v._accumulate(merge(att.transpose(0, 1, 3, 2) @ gh))
+        if q.requires_grad or k.requires_grad:
+            ds = gh @ vh.transpose(0, 1, 3, 2)
+            ds -= np.einsum("bhij,bhij->bhi", ds, att)[..., None]
+            ds *= att
+            ds *= scale
+            if q.requires_grad:
+                q._accumulate(merge(ds @ kh))
+            if k.requires_grad:
+                k._accumulate(merge(ds.transpose(0, 1, 3, 2) @ qh))
+
+    return Tensor._result(merge(att @ vh), (q, k, v), "attention", bwd)
+
+
+def gelu(x):
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3))).
+
+    Forward and backward run in place on one scratch buffer each; the
+    derivative is 0.5*(1 + t)*(1 + c*x*(1 + 3a*x^2)*(1 - t)), t the tanh.
+    """
+    a = ensure_tensor(x)
+    xd = a.data
+    t = np.multiply(xd, xd)
+    t *= _GELU_A
+    t += 1.0
+    t *= xd
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = np.add(t, 1.0)
+    out *= xd
+    out *= 0.5
+
+    def bwd(g):
+        d = np.multiply(xd, xd)
+        d *= 3.0 * _GELU_A
+        d += 1.0
+        d *= xd
+        d *= _GELU_C
+        s = np.subtract(1.0, t)
+        d *= s
+        d += 1.0
+        np.add(t, 1.0, out=s)
+        d *= s
+        d *= 0.5
+        d *= g
+        a._accumulate(d)
+
+    return Tensor._result(out, (a,), "gelu", bwd)
 
 
 def layernorm(x, gamma, beta, eps=1e-6):
-    """Zero-mean unit-variance normalization over the last axis, then affine."""
+    """Zero-mean unit-variance normalization over the last axis, then affine.
+
+    One node; backward dx = rstd * (gh - mean(gh) - xhat * mean(gh * xhat))
+    with gh = g * gamma, and gamma, beta summed over the leading axes.
+    """
     x = ensure_tensor(x)
     gamma = ensure_tensor(gamma)
     beta = ensure_tensor(beta)
@@ -316,10 +439,30 @@ def layernorm(x, gamma, beta, eps=1e-6):
         raise ValueError(
             f"layernorm affine params must have shape ({d},), "
             f"got gamma {gamma.shape}, beta {beta.shape}")
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / (var + eps).sqrt() * gamma + beta
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    std = np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None]
+                  * np.float32(1.0 / d) + np.float32(eps))
+    xhat /= std
+    rstd = np.reciprocal(std, out=std)
+    out = xhat * gamma.data
+    out += beta.data
+
+    def bwd(g):
+        g2 = g.reshape(-1, d)
+        if beta.requires_grad:
+            beta._accumulate(g2.sum(axis=0))
+        gx = g * xhat
+        if gamma.requires_grad:
+            gamma._accumulate(gx.reshape(-1, d).sum(axis=0))
+        if x.requires_grad:
+            gx *= gamma.data                        # gh * xhat
+            gh = g * gamma.data
+            dx = np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
+            dx -= xhat * gx.mean(axis=-1, keepdims=True)
+            dx *= rstd
+            x._accumulate(dx)
+
+    return Tensor._result(out, (x, gamma, beta), "layernorm", bwd)
 
 
 def concat(tensors, axis):
@@ -339,7 +482,18 @@ def concat(tensors, axis):
 
 
 def l2_normalize(x, axis=-1, eps=1e-8):
-    """Rows scaled to unit L2 norm (eps keeps zero rows finite)."""
+    """Rows scaled to unit L2 norm (eps keeps zero rows finite), one node.
+
+    With y = x / n and n = sqrt(sum x^2 + eps): dx = (g - y * sum(g * y)) / n.
+    """
     x = ensure_tensor(x)
-    sq = (x * x).sum(axis=axis, keepdims=True)
-    return x / (sq + eps).sqrt()
+    norm = np.sqrt((x.data * x.data).sum(axis=axis, keepdims=True)
+                   + np.float32(eps))
+    y = x.data / norm
+
+    def bwd(g):
+        dx = g - y * (g * y).sum(axis=axis, keepdims=True)
+        dx /= norm
+        x._accumulate(dx)
+
+    return Tensor._result(y, (x,), "l2_normalize", bwd)

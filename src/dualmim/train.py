@@ -21,7 +21,7 @@ from .config import TEACHER_SINGLE, TrainConfig
 from .errors import DataError, NumericError
 from .masking import FoldSet, gen_mask, split_folds
 from .optim import AdamW, lr_at
-from .tensor import Tensor, concat
+from .tensor import Tensor, concat, no_grad
 from .vit import Decoder, Encoder, ProjectionHead, patchify_batch
 
 METRICS_HEADER = ("epoch,iter,loss_m,loss_c,loss_p,total,"
@@ -267,9 +267,10 @@ class Trainer:
             ema_mod.maybe_update(self.t_cl, self.student_params,
                                  self.global_iter, epoch, at_epoch_end)
         self.global_iter += 1
-        # momentum of the most recent applied update (survives resume,
-        # unlike a transient attribute): momentum(update_count) is exactly
-        # the value used when update_count was incremented
+        # momentum of the most recent applied update, read off the
+        # checkpointed update_count so it survives resume:
+        # momentum(update_count) is exactly the value used when
+        # update_count was incremented
         m_rec = self.t_rec.momentum(self.t_rec.update_count)
         m_cl = (self.t_cl.momentum(self.t_cl.update_count)
                 if self.t_cl is not None else 0.0)
@@ -409,7 +410,8 @@ def encode_features(encoder, model_cfg, dataset, augment_cfg=None,
         imgs = dataset.images[lo:lo + batch_size].astype(np.float32) / 255.0
         imgs = data_mod.standardize(imgs, aug)
         patches = patchify_batch(imgs, model_cfg.patch_size)
-        tokens = encoder(patches, all_idx)
+        with no_grad():
+            tokens = encoder(patches, all_idx)
         feats[lo:lo + imgs.shape[0]] = tokens.data[:, 0, :]
     return feats
 

@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .tensor import Tensor, concat, gelu, l2_normalize, layernorm, softmax
+from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
+                     layernorm, linear)
 
 
 @dataclass
@@ -126,16 +127,7 @@ class Linear:
         self.b = Tensor(np.zeros(d_out, np.float32), requires_grad=True) if bias else None
 
     def __call__(self, x):
-        # flatten leading dims so the product is one 2-D GEMM; a batched
-        # [B, T, d_in] @ [d_in, d_out] would otherwise build a
-        # [B, d_in, d_out] temporary in the weight-gradient pass
-        lead = x.shape[:-1]
-        if len(lead) > 1:
-            x = x.reshape((-1, x.shape[-1]))
-        y = x @ self.w
-        if self.b is not None:
-            y = y + self.b
-        return y.reshape(lead + (self.w.shape[1],)) if len(lead) > 1 else y
+        return linear(x, self.w, self.b)
 
     def params(self):
         out = {"w": self.w}
@@ -160,23 +152,14 @@ class LayerNorm:
 class Attention:
     def __init__(self, rng, dim, num_heads):
         self.num_heads = num_heads
-        self.head_dim = dim // num_heads
         self.wq = Linear(rng, dim, dim)
         self.wk = Linear(rng, dim, dim)
         self.wv = Linear(rng, dim, dim)
         self.proj = Linear(rng, dim, dim)
 
     def __call__(self, x):
-        b, t, d = x.shape
-        h, hd = self.num_heads, self.head_dim
-
-        def heads(z):
-            return z.reshape(b, t, h, hd).transpose((0, 2, 1, 3))
-
-        q, k, v = heads(self.wq(x)), heads(self.wk(x)), heads(self.wv(x))
-        att = softmax(q @ k.transpose((0, 1, 3, 2)) * (1.0 / np.sqrt(hd)), axis=-1)
-        out = (att @ v).transpose((0, 2, 1, 3)).reshape(b, t, d)
-        return self.proj(out)
+        return self.proj(attention(self.wq(x), self.wk(x), self.wv(x),
+                                   self.num_heads))
 
     def params(self):
         return {f"{n}.{k}": v for n, m in

@@ -91,6 +91,33 @@ def test_sinkhorn_writes_into_out():
     assert np.array_equal(q, ref) and entropy == ref_entropy
 
 
+def test_sinkhorn_underflowed_column_gets_zero_mass():
+    rng = np.random.default_rng(14)
+    temp = 0.1
+    scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
+    scores[:, 2] = scores.min() - 100 * temp    # exp underflows in every row
+    q, entropy = sinkhorn_normalize(scores, 3, temp)
+    assert np.isfinite(q).all() and np.isfinite(entropy)
+    assert not q[:, 2].any()
+    assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-6
+    assert abs(entropy - mean_row_entropy(q)) < 1e-5
+    # the live columns are Sinkhorn of the matrix without the dead one
+    live = np.delete(scores, 2, axis=1)
+    assert np.abs(np.delete(q, 2, axis=1)
+                  - _sinkhorn_oracle(live, temp, 3)).max() < 1e-6
+
+
+def test_sinkhorn_row_far_below_stays_finite():
+    rng = np.random.default_rng(15)
+    temp = 0.1
+    scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
+    scores[5] -= 120 * temp     # under a global shift this row underflows
+    q, entropy = sinkhorn_normalize(scores, 3, temp)
+    assert np.isfinite(q).all() and np.isfinite(entropy)
+    assert np.abs(q - _sinkhorn_oracle(scores, temp, 3)).max() < 1e-6
+    assert abs(entropy - mean_row_entropy(q)) < 1e-5
+
+
 def test_sinkhorn_rejects_non_finite():
     scores = np.zeros((3, 4), np.float32)
     for bad in (np.nan, np.inf, -np.inf):

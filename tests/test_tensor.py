@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualmim.gradcheck import check_grads, finite_diff, max_violation
-from dualmim.tensor import Tensor, gelu, layernorm, softmax
+from dualmim.tensor import Tensor, gelu, layernorm, no_grad, softmax
 from dualmim.vit import Block, ViTConfig
 
 
@@ -141,6 +141,52 @@ def test_take_scatters_grads():
     out.sum().backward()
     # duplicated index accumulates
     assert np.array_equal(x.grad[:, 0], [0.0, 2.0, 0.0, 1.0])
+
+
+def test_take_unique_indices_scatter_like_add_at():
+    rng = np.random.default_rng(7)
+    x = Tensor(rng.standard_normal((2, 6, 3)).astype(np.float32),
+               requires_grad=True)
+    idx = np.array([4, 0, 5, 2])
+    g = rng.standard_normal((2, 4, 3)).astype(np.float32)
+    (x.take(idx, axis=1) * Tensor(g)).sum().backward()
+    expect = np.zeros_like(x.data)
+    np.add.at(expect, (slice(None), idx), g)
+    assert np.array_equal(x.grad, expect)
+
+
+def test_accumulate_is_copy_on_write():
+    t = Tensor(np.zeros(3, np.float32), requires_grad=True)
+    g = np.ones(3, np.float32)
+    t._accumulate(g)
+    assert t.grad is g                  # first gradient by reference
+    t._accumulate(g)
+    assert t.grad is not g and np.array_equal(g, np.ones(3))
+    t._accumulate(g)                    # owned now: updated in place
+    assert np.array_equal(t.grad, [3.0, 3.0, 3.0])
+    assert np.array_equal(g, np.ones(3))
+    s = Tensor(np.float32(1.0), requires_grad=True)
+    s._accumulate(np.float32(2.0))      # 0-d numpy scalar is materialized
+    assert isinstance(s.grad, np.ndarray) and s.grad.shape == ()
+
+
+def test_shared_gradient_buffer_is_not_mutated():
+    # both addends of a + b receive the same buffer; a gets a second term
+    a = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+    b = Tensor(np.zeros((2, 3), np.float32), requires_grad=True)
+    ((a + b).sum() + (a * 2.0).sum()).backward()
+    assert np.array_equal(a.grad, np.full((2, 3), 3.0))
+    assert np.array_equal(b.grad, np.ones((2, 3)))
+
+
+def test_no_grad_records_no_tape():
+    x = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+    with no_grad():
+        y = layernorm(x * 2.0, Tensor(np.ones(3, np.float32)),
+                      Tensor(np.zeros(3, np.float32)))
+    assert not y.requires_grad and y._parents == () and y._backward is None
+    z = x * 2.0     # recording resumes after the block
+    assert z.requires_grad and z._parents
 
 
 def test_backward_requires_scalar():

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from dualmim.config import TrainConfig
-from dualmim.data import (Dataset, load_cifar10, make_batch,
-                          make_synthetic_cifar)
+from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
+                          make_synthetic_cifar, standardize)
 from dualmim.errors import DataError
 from dualmim.gradcheck import tiny_config
 from dualmim.tensor import Tensor
 from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
                            export_metrics, knn_eval, linear_probe, pretrain)
-from dualmim.vit import Encoder
+from dualmim.vit import Encoder, patchify_batch
 
 
 @pytest.fixture(scope="module")
@@ -252,3 +252,26 @@ def test_encode_features_uses_class_token(tiny_ds):
     assert feats.shape == (len(tiny_ds), cfg.model.embed_dim)
     again = encode_features(enc, cfg.model, tiny_ds)
     assert np.array_equal(feats, again)
+
+
+def test_encode_features_records_no_tape(tiny_ds):
+    cfg = _tiny_cfg()
+    enc = Encoder(cfg.model, np.random.default_rng(6))
+    outs = []
+
+    def spy(patches, idx):
+        outs.append(enc(patches, idx))
+        return outs[-1]
+
+    feats = encode_features(spy, cfg.model, tiny_ds, batch_size=24)
+    assert len(outs) == 3
+    assert all(not o.requires_grad and o._parents == () for o in outs)
+    # the taped forward of the same batches gives the same features, bit
+    # for bit
+    imgs = standardize(tiny_ds.images.astype(np.float32) / 255.0,
+                       AugmentConfig())
+    for lo in range(0, len(tiny_ds), 24):
+        taped = enc(patchify_batch(imgs[lo:lo + 24], cfg.model.patch_size),
+                    np.arange(cfg.model.num_patches))
+        assert taped.requires_grad
+        assert np.array_equal(feats[lo:lo + 24], taped.data[:, 0, :])
