@@ -10,7 +10,7 @@ nearest teacher patch across the folds.
 
 import numpy as np
 
-from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match,
+from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match_batch,
                                  sinkhorn_normalize, student_assign)
 
 rng = np.random.default_rng(0)
@@ -21,8 +21,11 @@ rng = np.random.default_rng(0)
 scores = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
 scores[:, 0] += 3.0
 
+# Sinkhorn takes features and prototypes and forms the scores itself;
+# identity prototypes make the features the scores
+eye = np.eye(4, dtype=np.float32)
 plain = student_assign(scores, temperature=0.1).data
-balanced, _ = sinkhorn_normalize(scores, n_iters=3, temperature=0.1)
+balanced, _ = sinkhorn_normalize(scores, eye, n_iters=3, temperature=0.1)
 print("column mass, plain softmax :",
       np.array2string(plain.sum(axis=0), precision=2))
 print("column mass, after Sinkhorn:",
@@ -35,20 +38,21 @@ print(f"rows still sum to one      : "
 # the entropy comes out of the Sinkhorn pass itself, read off
 # log Q = logits + log u + log v; mean_row_entropy recomputes it from Q
 for temp in (1.0, 0.1, 0.05):
-    q, entropy = sinkhorn_normalize(scores, 3, temp)
+    q, entropy = sinkhorn_normalize(scores, eye, 3, temp)
     print(f"teacher temperature {temp:>4}: mean target entropy "
           f"{entropy:.3f} (from Q: {mean_row_entropy(q):.3f}, "
           f"max {np.log(4):.3f})")
 
 # -- 3. nearest-patch matching ----------------------------------------------------
 
-# 3 student patches, 2 teacher folds of 4 patches each; match by cosine
-# distance over all folds jointly
-student = rng.normal(0, 1, (3, 16)).astype(np.float32)
-fold_feats = [rng.normal(0, 1, (4, 16)).astype(np.float32) for _ in range(2)]
-fold_feats[1][2] = 5.0 * student[0]  # plant an exact direction match
-res = nearest_patch_match(student, fold_feats)
-print("\nstudent patch 0 matched to fold", res.fold_idx[0], "row",
-      res.row_idx[0], f"at cosine distance {res.distance[0]:.2e}")
+# one image: 3 student patches, 2 teacher folds of 4 patches each; match by
+# cosine distance over all folds jointly (the leading axis is the image)
+student = rng.normal(0, 1, (1, 3, 16)).astype(np.float32)
+fold_feats = [rng.normal(0, 1, (1, 4, 16)).astype(np.float32)
+              for _ in range(2)]
+fold_feats[1][0, 2] = 5.0 * student[0, 0]  # plant an exact direction match
+fold_idx, row_idx, dist = nearest_patch_match_batch(student, fold_feats)
+print("\nstudent patch 0 matched to fold", fold_idx[0, 0], "row",
+      row_idx[0, 0], f"at cosine distance {dist[0, 0]:.2e}")
 print("all matches (fold, row):",
-      list(zip(res.fold_idx.tolist(), res.row_idx.tolist())))
+      list(zip(fold_idx[0].tolist(), row_idx[0].tolist())))

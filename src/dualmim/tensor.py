@@ -79,7 +79,7 @@ class Tensor:
 
     @staticmethod
     def _result(data, parents, op, backward):
-        track = _recording and any(p.requires_grad for p in parents)
+        track = records_tape(parents)
         out = Tensor(data, requires_grad=track,
                      _parents=parents if track else (), _op=op)
         if track:
@@ -290,6 +290,11 @@ class Tensor:
 
 def ensure_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
+
+
+def records_tape(tensors):
+    """True when an op on `tensors` would join the tape."""
+    return _recording and any(t.requires_grad for t in tensors)
 
 
 @contextlib.contextmanager

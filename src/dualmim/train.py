@@ -2,8 +2,8 @@
 metrics emission, and the frozen-feature evaluations (linear probe, kNN).
 
 Determinism: every random draw comes from a stream derived from
-(seed, epoch, iteration, purpose), so an interrupted run resumed from an
-epoch-boundary checkpoint reproduces the continuous run bit-exactly.
+(seed, epoch, iteration, purpose), so an interrupted run resumed from its
+checkpoint, mid-epoch included, reproduces the continuous run bit-exactly.
 """
 
 import json
@@ -70,6 +70,7 @@ class Trainer:
         self.warmup_iters = config.optim.warmup_epochs * iters_per_epoch
         self.global_iter = 0
         self.epochs_done = 0
+        self.iters_done_in_epoch = 0   # steps already taken in epoch epochs_done
 
     def _build_teachers(self, total_iters):
         cfg = self.cfg
@@ -146,13 +147,10 @@ class Trainer:
             cf, pf = head(tokens)
             cls_feats.append(cf.data)
             patch_feats.append(pf.data)
-        # one GEMM per branch over every fold: [K*B*F, hidden] @ [hidden, K_c]
-        patch_feats = np.stack(patch_feats)
-        k, b, f, h = patch_feats.shape
-        patch_scores = (patch_feats.reshape(k * b * f, h)
-                        @ head.patch_out.w.data).reshape(k, b, f, -1)
-        cls_scores = np.stack(cls_feats) @ head.class_out.w.data
-        targets = pl.teacher_targets(cls_scores, patch_scores,
+        # Sinkhorn forms the scores against the prototypes block by block
+        targets = pl.teacher_targets(cls_feats, patch_feats,
+                                     head.class_out.w.data,
+                                     head.patch_out.w.data,
                                      sk.n_iters, sk.teacher_temperature)
         return targets, feats
 
@@ -294,6 +292,7 @@ class Trainer:
 
     def run_state(self):
         return {"epochs_done": self.epochs_done,
+                "iters_done_in_epoch": self.iters_done_in_epoch,
                 "global_iter": self.global_iter,
                 "adamw_step": self.optimizer.step_count,
                 "t_rec_updates": self.t_rec.update_count,
@@ -325,6 +324,8 @@ class Trainer:
         tr.optimizer.step_count = state["adamw_step"]
         tr.global_iter = state["global_iter"]
         tr.epochs_done = state["epochs_done"]
+        # checkpoints written before mid-epoch resume stopped on epoch ends
+        tr.iters_done_in_epoch = state.get("iters_done_in_epoch", 0)
         tr.t_rec.update_count = state["t_rec_updates"]
         if tr.t_cl is not None:
             tr.t_cl.update_count = state["t_cl_updates"]
@@ -365,7 +366,8 @@ def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
         try:
             for epoch in range(trainer.epochs_done, config.optim.total_epochs):
                 order = data_mod.epoch_order(len(dataset), config.seed, epoch)
-                for it in range(iters_per_epoch):
+                # a resumed epoch skips the batches it already consumed
+                for it in range(trainer.iters_done_in_epoch, iters_per_epoch):
                     idx = order[it * config.optim.batch_size:
                                 (it + 1) * config.optim.batch_size]
                     batch = data_mod.make_batch(
@@ -385,10 +387,11 @@ def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
                                  f"{time.time() - t0:.3f}\n")
                     done += 1
                     if max_iters is not None and done >= max_iters:
-                        trainer.epochs_done = epoch + (1 if last else 0)
+                        trainer.epochs_done, trainer.iters_done_in_epoch = (
+                            (epoch + 1, 0) if last else (epoch, it + 1))
                         trainer.save(ckpt_path)
                         return trainer
-                trainer.epochs_done = epoch + 1
+                trainer.epochs_done, trainer.iters_done_in_epoch = epoch + 1, 0
                 trainer.save(ckpt_path)
         except NumericError:
             trainer.save(os.path.join(out_dir, "checkpoint.abort.bin"))

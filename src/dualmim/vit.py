@@ -14,7 +14,13 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
-                     layernorm, linear)
+                     layernorm, linear, records_tape)
+
+# A forward that records no tape runs in row blocks of at most this many
+# tokens, so each block's attention and MLP buffers stay near L2 size: a
+# 256-image full-token batch runs as eight 32-image blocks, while
+# training's teacher fold passes (128 images x 17 tokens) stay one block.
+INFER_BLOCK_TOKENS = 2304
 
 
 @dataclass
@@ -235,13 +241,31 @@ class Encoder:
     def __call__(self, patches, patch_indices, train=False, rng=None):
         """patches: [B, T, P*P*C] (Tensor or array); patch_indices: [T] ints.
 
-        Returns [B, T+1, D] with the class token at row 0.
+        Returns [B, T+1, D] with the class token at row 0. A call that
+        records no tape (inside `no_grad()`, or a frozen teacher on plain
+        input) runs in row blocks of at most INFER_BLOCK_TOKENS tokens
+        written into one output; rows never interact, so the result is
+        the same. Training-mode calls are never split: stochastic depth
+        draws one mask per call.
         """
         idx = np.asarray(patch_indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= self.cfg.num_patches):
             raise IndexError(f"patch index out of range 0..{self.cfg.num_patches - 1}")
         if not isinstance(patches, Tensor):
             patches = Tensor(patches)
+        b = patches.shape[0]
+        n_blocks = -(-b * (idx.size + 1) // INFER_BLOCK_TOKENS)
+        if (n_blocks <= 1 or train
+                or records_tape([patches, *self.params().values()])):
+            return self._forward(patches, idx, train, rng)
+        out = np.empty((b, idx.size + 1, self.cfg.embed_dim), np.float32)
+        for i in range(n_blocks):
+            lo, hi = b * i // n_blocks, b * (i + 1) // n_blocks
+            out[lo:hi] = self._forward(Tensor(patches.data[lo:hi]), idx).data
+        return Tensor(out)
+
+    def _forward(self, patches, idx, train=False, rng=None):
+        """One pass over the whole of `patches` (a Tensor; `idx` checked)."""
         b = patches.shape[0]
         x = self.patch_embed(patches) + Tensor(self.pos[idx])
         cls = self.cls_token + Tensor(np.zeros((b, 1, self.cfg.embed_dim), np.float32))

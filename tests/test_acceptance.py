@@ -24,7 +24,7 @@ from dualmim.gradcheck import (adamw_convergence, composed_setup, max_violation,
 from dualmim.masking import gen_mask, split_folds, validate_masking
 from dualmim.errors import ConfigError
 from dualmim.optim import AdamW, lr_at
-from dualmim.pseudolabel import nearest_patch_match, sinkhorn_normalize
+from dualmim.pseudolabel import nearest_patch_match_batch, sinkhorn_normalize
 from dualmim.train import Trainer, linear_probe, pretrain
 from dualmim.vit import patchify_batch
 
@@ -76,7 +76,8 @@ def test_criterion_2_sinkhorn():
         kc = int(rng.integers(2, 512))
         # cosine-similarity domain: the head emits unit-norm dot products
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
-        q, _ = sinkhorn_normalize(scores, 3, 0.05)
+        q, _ = sinkhorn_normalize(scores, np.eye(kc, dtype=np.float32), 3,
+                                  0.05)
         worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
 
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
@@ -84,10 +85,11 @@ def test_criterion_2_sinkhorn():
     for _ in range(1000):
         oracle /= oracle.sum(axis=0, keepdims=True)
         oracle /= oracle.sum(axis=1, keepdims=True)
-    fixed_err = float(np.abs(sinkhorn_normalize(scores, 1000, 1.0)[0]
-                             - oracle).max())
+    fixed_err = float(np.abs(sinkhorn_normalize(
+        scores, np.eye(2, dtype=np.float32), 1000, 1.0)[0] - oracle).max())
 
-    uniform, _ = sinkhorn_normalize(np.zeros((8, 16), np.float32), 3, 0.05)
+    uniform, _ = sinkhorn_normalize(np.zeros((8, 16), np.float32),
+                                    np.eye(16, dtype=np.float32), 3, 0.05)
     uni_err = float(np.abs(uniform - 1.0 / 16).max())
 
     ok = worst_row < 1e-5 and fixed_err < 1e-4 and uni_err < 1e-7
@@ -172,7 +174,8 @@ def test_criterion_5_matching_oracle():
         if inst % 5 == 0:  # forced exact ties: every teacher row identical
             for fold in folds:
                 fold[:] = folds[0][0]
-        res = nearest_patch_match(s, folds)
+        fold_idx, row_idx, _ = nearest_patch_match_batch(
+            s[None], [fold[None] for fold in folds])
         su = s / np.linalg.norm(s, axis=1, keepdims=True)
         t_all = np.concatenate(folds, axis=0)
         tu = t_all / np.linalg.norm(t_all, axis=1, keepdims=True)
@@ -182,8 +185,8 @@ def test_criterion_5_matching_oracle():
             for j in range(k * f):          # exhaustive, first-wins ties
                 if dist[i, j] < best_d:
                     best_d, best_flat = dist[i, j], j
-            if (res.fold_idx[i], res.row_idx[i]) != (best_flat // f,
-                                                     best_flat % f):
+            if (fold_idx[0, i], row_idx[0, i]) != (best_flat // f,
+                                                   best_flat % f):
                 mismatches += 1
     _verdict(5, mismatches == 0, f"{mismatches} mismatches over 200 instances")
 

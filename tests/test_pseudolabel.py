@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
+from dualmim import pseudolabel
 from dualmim.pseudolabel import (class_target_average, mean_row_entropy,
-                                 nearest_patch_match,
                                  nearest_patch_match_batch, sinkhorn_normalize,
                                  student_assign, teacher_targets)
 from dualmim.tensor import Tensor
@@ -22,21 +23,47 @@ def _sinkhorn_oracle(scores, temperature, iters):
     return q
 
 
+def _log_sinkhorn_oracle(scores, temperature, iters):
+    """The same loop on float64 log potentials, for scores whose exp
+    overflows: Q = exp(s / T + a + c)."""
+    x = np.asarray(scores, np.float64) / temperature
+    b, kc = x.shape
+    a = np.zeros(b)
+    for _ in range(iters):
+        c = np.log(b / kc) - logsumexp(x + a[:, None], axis=0)
+        a = -logsumexp(x + c, axis=1)
+    return np.exp(x + a[:, None] + c)
+
+
+def _eye(scores):
+    """Prototype matrix under which the features are the scores (exact)."""
+    return np.eye(np.shape(scores)[1], dtype=np.float32)
+
+
+def _unbatched(s, folds):
+    """One image: [M, D] student rows, K [F, D] teacher folds."""
+    fold_idx, row_idx, dist = nearest_patch_match_batch(
+        s[None], [f[None] for f in folds])
+    return fold_idx[0], row_idx[0], dist[0]
+
+
 def test_sinkhorn_constant_scores_uniform():
-    q, _ = sinkhorn_normalize(np.full((6, 4), 2.5, np.float32), 3, 0.05)
+    scores = np.full((6, 4), 2.5, np.float32)
+    q, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
     assert np.allclose(q, 0.25, atol=1e-7)
 
 
 def test_sinkhorn_rows_sum_to_one():
     rng = np.random.default_rng(0)
-    q, _ = sinkhorn_normalize(rng.standard_normal((64, 256)), 3, 0.05)
+    scores = rng.standard_normal((64, 256))
+    q, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
 
 
 def test_sinkhorn_2x2_long_iteration_fixed_point():
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
     oracle = _sinkhorn_oracle(scores, 1.0, 1000)
-    q, _ = sinkhorn_normalize(scores, 1000, 1.0)
+    q, _ = sinkhorn_normalize(scores, _eye(scores), 1000, 1.0)
     assert np.abs(q - oracle).max() < 1e-4
 
 
@@ -46,11 +73,11 @@ def test_sinkhorn_column_balance_after_3_iters():
     scores = rng.standard_normal((b, kc))
     target = b / kc
     # rebuild the column step of the third iteration on two full ones
-    q2, _ = sinkhorn_normalize(scores, 2, 0.05)
+    q2, _ = sinkhorn_normalize(scores, _eye(scores), 2, 0.05)
     colstep = q2 * (target / q2.sum(axis=0, dtype=np.float64))
     assert np.abs(colstep.sum(axis=0) - target).max() < 0.1 * target
     # and the third row step of it is what three iterations return
-    q3, _ = sinkhorn_normalize(scores, 3, 0.05)
+    q3, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
     assert np.abs(colstep / colstep.sum(axis=1, keepdims=True)
                   - q3).max() < 1e-6
 
@@ -63,9 +90,29 @@ def test_sinkhorn_scaling_vectors_match_f64_oracle():
         temp = float(rng.choice([1.0, 0.1, 0.05]))
         iters = int(rng.integers(1, 6))
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
-        q, _ = sinkhorn_normalize(scores, iters, temp)
+        q, _ = sinkhorn_normalize(scores, _eye(scores), iters, temp)
         assert q.dtype == np.float32
         assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
+
+
+def test_sinkhorn_scores_from_feats_match_f64_oracle(monkeypatch):
+    # small blocks, so most shapes end in a partial one
+    monkeypatch.setattr(pseudolabel, "SINKHORN_BLOCK_ROWS", 16)
+    rng = np.random.default_rng(16)
+    for _ in range(25):
+        b = int(rng.integers(1, 100))
+        kc = int(rng.integers(2, 300))
+        h = int(rng.integers(1, 24))
+        temp = float(rng.choice([1.0, 0.1, 0.05]))
+        iters = int(rng.integers(1, 6))
+        feats = rng.standard_normal((b, h)).astype(np.float32)
+        feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+        weight = rng.standard_normal((h, kc)).astype(np.float32)
+        weight /= np.linalg.norm(weight, axis=0, keepdims=True)
+        q, entropy = sinkhorn_normalize(feats, weight, iters, temp)
+        scores = feats @ weight
+        assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
+        assert abs(entropy - mean_row_entropy(q)) < 1e-5
 
 
 def test_sinkhorn_in_pass_entropy_matches_rows():
@@ -76,17 +123,35 @@ def test_sinkhorn_in_pass_entropy_matches_rows():
              # exp underflows to exactly 0 for about an eighth of the entries
              (rng.standard_normal((64, 256)), 0.05)]
     for scores, temp in cases:
-        q, entropy = sinkhorn_normalize(scores.astype(np.float32), 3, temp)
+        q, entropy = sinkhorn_normalize(scores.astype(np.float32),
+                                        _eye(scores), 3, temp)
         assert abs(entropy - mean_row_entropy(q)) < 1e-5
     assert (q == 0.0).mean() > 0.05
+
+
+def test_sinkhorn_overflowing_scaling_vectors_fold_into_exponent(
+        monkeypatch):
+    # scores spanning hundreds of temperatures: the float32 copies of the
+    # scaling vectors overflow, so Sinkhorn runs on log potentials, here
+    # over several row blocks (the last one partial)
+    monkeypatch.setattr(pseudolabel, "SINKHORN_BLOCK_ROWS", 48)
+    rng = np.random.default_rng(17)
+    for shape, std, temp in (((256, 512), 5.0, 0.02),
+                             ((64, 64), 10.0, 0.01)):
+        scores = (std * rng.standard_normal(shape)).astype(np.float32)
+        q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
+        assert np.isfinite(q).all() and np.isfinite(entropy)
+        assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
+        assert abs(entropy - mean_row_entropy(q)) < 1e-5
+        assert np.abs(q - _log_sinkhorn_oracle(scores, temp, 3)).max() < 1e-6
 
 
 def test_sinkhorn_writes_into_out():
     rng = np.random.default_rng(13)
     scores = rng.uniform(-1.0, 1.0, (12, 20)).astype(np.float32)
     out = np.empty_like(scores)
-    q, entropy = sinkhorn_normalize(scores, 3, 0.1, out=out)
-    ref, ref_entropy = sinkhorn_normalize(scores, 3, 0.1)
+    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, 0.1, out=out)
+    ref, ref_entropy = sinkhorn_normalize(scores, _eye(scores), 3, 0.1)
     assert q is out
     assert np.array_equal(q, ref) and entropy == ref_entropy
 
@@ -96,7 +161,7 @@ def test_sinkhorn_underflowed_column_gets_zero_mass():
     temp = 0.1
     scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
     scores[:, 2] = scores.min() - 100 * temp    # exp underflows in every row
-    q, entropy = sinkhorn_normalize(scores, 3, temp)
+    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
     assert np.isfinite(q).all() and np.isfinite(entropy)
     assert not q[:, 2].any()
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-6
@@ -112,7 +177,7 @@ def test_sinkhorn_row_far_below_stays_finite():
     temp = 0.1
     scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
     scores[5] -= 120 * temp     # under a global shift this row underflows
-    q, entropy = sinkhorn_normalize(scores, 3, temp)
+    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
     assert np.isfinite(q).all() and np.isfinite(entropy)
     assert np.abs(q - _sinkhorn_oracle(scores, temp, 3)).max() < 1e-6
     assert abs(entropy - mean_row_entropy(q)) < 1e-5
@@ -123,15 +188,16 @@ def test_sinkhorn_rejects_non_finite():
     for bad in (np.nan, np.inf, -np.inf):
         scores[1, 2] = bad
         with pytest.raises(ValueError):
-            sinkhorn_normalize(scores, 3, 0.1)
+            sinkhorn_normalize(scores, _eye(scores), 3, 0.1)
 
 
 def test_teacher_targets_shapes_and_determinism():
     rng = np.random.default_rng(2)
     cls = [rng.standard_normal((4, 16)).astype(np.float32) for _ in range(3)]
     pat = [rng.standard_normal((4, 5, 16)).astype(np.float32) for _ in range(3)]
-    out1 = teacher_targets(cls, pat, 3, 0.05)
-    out2 = teacher_targets(cls, pat, 3, 0.05)
+    eye = _eye(cls[0])
+    out1 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
+    out2 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
     assert len(out1) == 3
     for a, b in zip(out1, out2):
         assert a.patch.shape == (4, 5, 16)
@@ -145,12 +211,14 @@ def test_teacher_targets_fold_major_rows_and_entropy():
     k, b, f, kc = 3, 4, 5, 16
     cls = rng.uniform(-1, 1, (k, b, kc)).astype(np.float32)
     pat = rng.uniform(-1, 1, (k, b, f, kc)).astype(np.float32)
-    out = teacher_targets(cls, pat, 3, 0.05)
+    eye = _eye(cls[0])
+    out = teacher_targets(cls, pat, eye, eye, 3, 0.05)
     assert out.patch_rows.shape == (k * b * f, kc)
     for fold, a in enumerate(out):
         # each fold's patch rows are a view of the one fold-major array
         assert np.shares_memory(a.patch, out.patch_rows)
-        q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), 3, 0.05)
+        q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), eye, 3,
+                                  0.05)
         assert np.array_equal(a.patch.reshape(b * f, kc), q)
         for bb in range(b):
             for ff in range(f):
@@ -178,7 +246,8 @@ def test_student_assign_grad_through_ce():
     rng = np.random.default_rng(4)
     s = Tensor(0.5 * rng.standard_normal((3, 6)).astype(np.float32),
                requires_grad=True)
-    p, _ = sinkhorn_normalize(rng.standard_normal((3, 6)), 3, 1.0)
+    p, _ = sinkhorn_normalize(rng.standard_normal((3, 6)),
+                              np.eye(6, dtype=np.float32), 3, 1.0)
     # identity features make the prototype matrix the score matrix
     eye = np.eye(3, dtype=np.float32)
     loss = lambda: tempered_cross_entropy(p, np.arange(3), eye, s, 1.0) * 0.25
@@ -187,10 +256,10 @@ def test_student_assign_grad_through_ce():
 
 def test_match_identity_when_feats_equal():
     feats = np.random.default_rng(5).standard_normal((6, 8)).astype(np.float32)
-    res = nearest_patch_match(feats, [feats])
-    assert np.array_equal(res.fold_idx, np.zeros(6, np.intp))
-    assert np.array_equal(res.row_idx, np.arange(6))
-    assert np.allclose(res.distance, 0.0, atol=1e-5)
+    fold_idx, row_idx, dist = _unbatched(feats, [feats])
+    assert np.array_equal(fold_idx, np.zeros(6, np.intp))
+    assert np.array_equal(row_idx, np.arange(6))
+    assert np.allclose(dist, 0.0, atol=1e-5)
 
 
 def test_match_all_ties_pick_first():
@@ -198,10 +267,10 @@ def test_match_all_ties_pick_first():
     s = -t[0:1].repeat(3, axis=0)
     # make every teacher row the same so distances tie exactly
     folds = [np.tile(t[0], (4, 1)), np.tile(t[0], (4, 1))]
-    res = nearest_patch_match(s, folds)
-    assert np.array_equal(res.fold_idx, [0, 0, 0])
-    assert np.array_equal(res.row_idx, [0, 0, 0])
-    assert np.allclose(res.distance, 2.0, atol=1e-5)
+    fold_idx, row_idx, dist = _unbatched(s, folds)
+    assert np.array_equal(fold_idx, [0, 0, 0])
+    assert np.array_equal(row_idx, [0, 0, 0])
+    assert np.allclose(dist, 2.0, atol=1e-5)
 
 
 def test_match_against_brute_force():
@@ -218,7 +287,7 @@ def test_match_against_brute_force():
             dup = folds[0][0].copy()
             for fold in folds:
                 fold[:] = dup
-        res = nearest_patch_match(s, folds)
+        fold_idx, row_idx, distance = _unbatched(s, folds)
         su = s / np.linalg.norm(s, axis=1, keepdims=True)
         for i in range(m):
             best = (np.inf, None, None)
@@ -228,8 +297,8 @@ def test_match_against_brute_force():
                     dist = 1.0 - float(su[i] @ (t / np.linalg.norm(t)))
                     if dist < best[0] - 1e-7:
                         best = (dist, kk, ff)
-            assert (res.fold_idx[i], res.row_idx[i]) <= (best[1], best[2])
-            assert abs(res.distance[i] - best[0]) < 1e-5
+            assert (fold_idx[i], row_idx[i]) <= (best[1], best[2])
+            assert abs(distance[i] - best[0]) < 1e-5
 
 
 def test_match_batch_matches_single():
@@ -238,16 +307,18 @@ def test_match_batch_matches_single():
     folds = [rng.standard_normal((3, 4, 8)).astype(np.float32)
              for _ in range(2)]
     fold_idx, row_idx, dist = nearest_patch_match_batch(s, folds)
+    # each image is matched on its own rows only
     for b in range(3):
-        res = nearest_patch_match(s[b], [f[b] for f in folds])
-        assert np.array_equal(fold_idx[b], res.fold_idx)
-        assert np.array_equal(row_idx[b], res.row_idx)
-        assert np.allclose(dist[b], res.distance, atol=1e-6)
+        one_fold, one_row, one_dist = _unbatched(s[b], [f[b] for f in folds])
+        assert np.array_equal(fold_idx[b], one_fold)
+        assert np.array_equal(row_idx[b], one_row)
+        assert np.allclose(dist[b], one_dist, atol=1e-6)
 
 
 def test_class_average_single_fold_identity():
     p, _ = sinkhorn_normalize(
-        np.random.default_rng(9).standard_normal((4, 8)), 3, 0.5)
+        np.random.default_rng(9).standard_normal((4, 8)),
+        np.eye(8, dtype=np.float32), 3, 0.5)
     assert np.array_equal(class_target_average([p]), p)
 
 
@@ -262,7 +333,8 @@ def test_class_average_two_one_hots():
 
 def test_class_average_rows_sum_to_one():
     rng = np.random.default_rng(10)
-    folds = [sinkhorn_normalize(rng.standard_normal((6, 16)), 3, 0.5)[0]
+    eye = np.eye(16, dtype=np.float32)
+    folds = [sinkhorn_normalize(rng.standard_normal((6, 16)), eye, 3, 0.5)[0]
              for _ in range(3)]
     avg = class_target_average(folds)
     assert np.abs(avg.sum(axis=1) - 1.0).max() < 1e-6

@@ -6,12 +6,14 @@ import weakref
 import numpy as np
 import pytest
 
+from dualmim import vit
+from dualmim.checkpoint import load_checkpoint, save_checkpoint
 from dualmim.config import TrainConfig
 from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
                           make_synthetic_cifar, standardize)
 from dualmim.errors import DataError
 from dualmim.gradcheck import tiny_config
-from dualmim.tensor import Tensor
+from dualmim.tensor import Tensor, no_grad
 from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
                            export_metrics, knn_eval, linear_probe, pretrain)
 from dualmim.vit import Encoder, patchify_batch
@@ -100,6 +102,39 @@ def test_interrupt_resume_bit_exact(tmp_path, tiny_ds):
     ck_a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
     ck_b = open(os.path.join(part, "checkpoint.bin"), "rb").read()
     assert ck_a == ck_b
+
+
+@pytest.mark.parametrize("stop_at", [2, 3])
+def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, stop_at):
+    # 4 iterations per epoch; stop inside the first epoch, then resume
+    cfg = _tiny_cfg(**{"optim.total_epochs": 2, "optim.batch_size": 16})
+    full = str(tmp_path / "full")
+    pretrain(cfg, tiny_ds, full)
+
+    part = str(tmp_path / "part")
+    pretrain(cfg, tiny_ds, part, max_iters=stop_at)
+    pretrain(cfg, tiny_ds, part, resume=os.path.join(part, "checkpoint.bin"))
+
+    full_rows = _metrics_rows(full)
+    part_rows = _metrics_rows(part)
+    assert len(full_rows) == len(part_rows) == 8
+    for a, b in zip(full_rows, part_rows):
+        assert a[:11] == b[:11]  # everything except wall-clock seconds
+    ck_a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
+    ck_b = open(os.path.join(part, "checkpoint.bin"), "rb").read()
+    assert ck_a == ck_b
+
+
+def test_resume_state_without_in_epoch_iteration(tmp_path, tiny_ds):
+    # checkpoints from before the in-epoch counter resume at the epoch start
+    cfg = _tiny_cfg(**{"optim.total_epochs": 2, "optim.batch_size": 16})
+    out = str(tmp_path / "run")
+    pretrain(cfg, tiny_ds, out, max_iters=4)
+    path = os.path.join(out, "checkpoint.bin")
+    config_json, state, records = load_checkpoint(path)
+    assert state.pop("iters_done_in_epoch") == 0
+    save_checkpoint(path, config_json, state, records)
+    assert Trainer.load(path).iters_done_in_epoch == 0
 
 
 def test_resume_config_mismatch_rejected(tmp_path, tiny_ds):
@@ -275,3 +310,56 @@ def test_encode_features_records_no_tape(tiny_ds):
                     np.arange(cfg.model.num_patches))
         assert taped.requires_grad
         assert np.array_equal(feats[lo:lo + 24], taped.data[:, 0, :])
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    raw = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_encode_features_row_blocks_match_unblocked(tiny_ds, monkeypatch):
+    cfg = _tiny_cfg()
+    enc = Encoder(cfg.model, np.random.default_rng(6))
+    whole = encode_features(enc, cfg.model, tiny_ds, batch_size=21)
+    # blocks of at most 3 images of 17 tokens: a 21-image batch runs as 7
+    # blocks, and the last batch holds one image
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 3 * 17)
+    calls = _count_calls(monkeypatch, Encoder, "__call__")
+    blocks = _count_calls(monkeypatch, Encoder, "_forward")
+    blocked = encode_features(enc, cfg.model, tiny_ds, batch_size=21)
+    assert np.array_equal(blocked, whole)
+    assert len(calls) == 4                  # one call per batch
+    assert len(blocks) == 3 * 7 + 1
+
+
+@pytest.mark.parametrize("batch", [1, 2, 7, 11])
+def test_teacher_encoder_row_blocks_match_unblocked(tiny_ds, monkeypatch,
+                                                    batch):
+    cfg = _tiny_cfg()
+    trainer = Trainer(cfg)
+    teacher, student = trainer.t_rec_encoder, trainer.encoder
+    rng = np.random.default_rng(batch)
+    patches = rng.standard_normal(
+        (batch, 5, cfg.model.patch_size ** 2 * 3)).astype(np.float32)
+    idx = rng.choice(cfg.model.num_patches, 5, replace=False)
+    whole = teacher(patches, idx).data
+    # blocks of at most 3 images of 6 tokens, ragged for 7 and 11 images
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 3 * 6)
+    blocks = _count_calls(monkeypatch, Encoder, "_forward")
+    out = teacher(patches, idx)
+    assert not out.requires_grad
+    assert np.array_equal(out.data, whole)
+    assert len(blocks) == -(-batch // 3)
+    # a student call records a tape, so it runs as one block
+    taped = student(patches, idx)
+    assert taped.requires_grad and len(blocks) == -(-batch // 3) + 1
+    with no_grad():
+        frozen = student(patches, idx)
+    assert np.array_equal(frozen.data, taped.data)
