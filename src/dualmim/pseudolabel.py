@@ -17,12 +17,6 @@ from .tensor import softmax
 # A row whose max is this many temperatures below the global max is
 # exponentiated against its own max: exp(-64) is still a normal float32.
 ROW_SHIFT_T = 64.0
-# Sinkhorn works through the [B, K_c] matrix this many rows at a time.
-# Measured on a 2-core box (2 MB L2 per core, large shared L3) for one
-# [2048, 4096] patch fold: 256-row blocks 52 ms, 1024 rows 41 ms, 2048
-# rows 40 ms; the per-call BLAS and ufunc overhead of small blocks
-# outweighs their cache hits there, so a default fold is one block.
-SINKHORN_BLOCK_ROWS = 2048
 _F32_TINY = float(np.finfo(np.float32).tiny)
 _F32_MAX = float(np.finfo(np.float32).max)
 
@@ -61,13 +55,8 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     for `n_iters` rounds, ending on the row step. The rounds only update
     the scaling vectors u (rows) and v (columns) of Q = diag(u) E diag(v),
     with E = exp(logits - shift) formed once in float32 and u, v kept in
-    float64; E lives in `out` (allocated if not given) and becomes Q.
-
-    The scores are never kept: every pass runs over SINKHORN_BLOCK_ROWS
-    rows at a time, the first forming the scores of a block straight into
-    `out` and taking its row max and min, the next forming E and the
-    column sums, each round computing u of a block and, while the block
-    is hot, its share of the next column sums, and the last writing Q.
+    float64. The scores are formed straight into `out` (allocated if not
+    given), which becomes E and then Q; they are never kept.
 
     The shift is the global max, except on a row whose max sits more than
     ROW_SHIFT_T temperatures below it: that row is shifted by its own max,
@@ -78,125 +67,62 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     log u_i + sum_j q_ij log v_j), where a zero-mass column adds nothing
     and sum_j q_ij s_ij = f_i . (q_i W^T) needs no scores.
 
-    If a float32 copy of u or v would overflow (scores spanning hundreds
-    of temperatures), Sinkhorn restarts with log u and log v folded into
-    the exponent, every half-step a logsumexp (`_sinkhorn_log`); inputs
-    that never overflow get the scaling-vector result.
+    If a float32 copy of u, v or of the next column sums would overflow
+    (scores spanning hundreds of temperatures), log v is folded into the
+    exponent: E = exp(s / T - c) is formed again in float64 with the
+    column offsets c (a zero-mass column gets c = inf and stays empty) and
+    its rows normalized there, which is the row step and takes the place
+    of log u; the rounds go on from u = v = 1. Inputs that never fold keep
+    the scaling-vector result.
 
     Returns (Q [B, K_c] float32, mean row entropy in nats).
     """
     f = np.asarray(feats, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
-    b, kc = f.shape[0], w.shape[1]
-    q = np.empty((b, kc), np.float32) if out is None else out
-    blocks = [slice(lo, lo + SINKHORN_BLOCK_ROWS)
-              for lo in range(0, b, SINKHORN_BLOCK_ROWS)]
-    row_max = np.empty(b, np.float32)
-    bottom = np.inf
-    for blk in blocks:
-        s = np.matmul(f[blk], w, out=q[blk])
-        row_max[blk] = s.max(axis=1)
-        bottom = min(bottom, s.min())
+    q = np.matmul(f, w, out=out)
+    b, kc = q.shape
+    row_max = q.max(axis=1)
     top = row_max.max()
-    if not (np.isfinite(top) and np.isfinite(bottom)):
+    if not (np.isfinite(top) and np.isfinite(q.min())):
         raise ValueError("sinkhorn_normalize requires finite scores")
-    ent = _sinkhorn_scaled(f, w, q, blocks, row_max, top, n_iters,
-                           temperature)
-    if ent is None:
-        ent = _sinkhorn_log(f, w, q, blocks, n_iters, temperature)
-    return q, ent
-
-
-def _sinkhorn_scaled(f, w, q, blocks, row_max, top, n_iters, temperature):
-    """Scaling-vector Sinkhorn over the scores in `q`; see
-    `sinkhorn_normalize`. Returns the mean row entropy, or None (with `q`
-    half-written) once a scaling vector leaves the float32 range."""
-    b, kc = q.shape
     shift = np.where(row_max < top - ROW_SHIFT_T * temperature, row_max, top)
+    q -= shift[:, None]
+    q *= np.float32(1.0 / temperature)
+    np.exp(q, out=q)    # E
     u = np.exp((shift.astype(np.float64) - top) / temperature)
-    inv_t = np.float32(1.0 / temperature)
-    col = np.zeros(kc)
-    for blk in blocks:
-        e = q[blk]
-        e -= shift[blk, None]
-        e *= inv_t
-        np.exp(e, out=e)    # E
-        col += u[blk].astype(np.float32) @ e
-    ent = 0.0
-    for it in range(n_iters):
+    c = None    # column offsets folded into the exponent, float64
+    for _ in range(n_iters):
         # float32 GEMVs over E (no float64 copy), float64 scaling vectors
-        if not np.isfinite(col).all():
-            return None
+        col = (u.astype(np.float32) @ q).astype(np.float64)
         v = np.divide(b / kc, col, out=np.zeros(kc), where=col >= _F32_TINY)
-        if v.max() > _F32_MAX:
-            return None
-        v32 = v.astype(np.float32)
-        last = it == n_iters - 1
-        if last:
-            log_v = np.log(v, out=np.zeros(kc), where=v > 0).astype(np.float32)
-        col = np.zeros(kc)
-        for blk in blocks:
-            e = q[blk]
-            r = e @ v32
-            if not ((r >= 1.0 / _F32_MAX) & (r < np.inf)).all():
-                return None
-            u[blk] = 1.0 / r.astype(np.float64)
-            u32 = u[blk].astype(np.float32)
-            if not last:
-                col += u32 @ e
-                continue
-            e *= v32
-            e *= u32[:, None]    # Q = diag(u) E diag(v)
-            # sum_j q_ij (s_ij - shift_i) / T, with s_i = f_i W
-            lin = (np.einsum("ij,ij->i", e @ w.T, f[blk])
-                   - shift[blk]) / temperature
-            ent -= float((lin + np.log(u[blk]) + e @ log_v).sum())
-    return ent / b
-
-
-def _sinkhorn_log(f, w, q, blocks, n_iters, temperature):
-    """Log-stabilized Sinkhorn: the scaling vectors live in the exponent as
-    float64 potentials a (rows) and c (columns), Q = exp(s / T + a + c),
-    and each half-step is a blocked logsumexp over the scores (formed
-    again into `q`), so nothing over- or underflows and no column loses
-    its mass. Writes Q into `q`; returns the mean row entropy."""
-    b, kc = q.shape
-    for blk in blocks:
-        np.matmul(f[blk], w, out=q[blk])
-    inv_t = 1.0 / temperature
-    a = np.zeros(b)
-    ent = 0.0
-    for it in range(n_iters):
-        # column step: c_j = log(B / K_c) - logsumexp_i(s_ij / T + a_i),
-        # the column max carried across blocks as in an online softmax
-        m = np.full(kc, -np.inf)
-        acc = np.zeros(kc)
-        for blk in blocks:
-            x = q[blk].astype(np.float64)
-            x *= inv_t
-            x += a[blk, None]
-            top = np.maximum(m, x.max(axis=0))
-            x -= top
-            acc = acc * np.exp(m - top) + np.exp(x, out=x).sum(axis=0)
-            m = top
-        c = np.log(b / kc) - m - np.log(acc)
-        # row step: a_i = -logsumexp_j(s_ij / T + c_j)
-        last = it == n_iters - 1
-        for blk in blocks:
-            x = q[blk].astype(np.float64)
-            x *= inv_t
-            x += c
-            row_top = x.max(axis=1)
-            x -= row_top[:, None]
-            p = np.exp(x)
-            z = p.sum(axis=1)
-            a[blk] = -(row_top + np.log(z))
-            if last:
-                p /= z[:, None]
-                # H_i = -sum_j p_ij log p_ij, log p_ij = x_ij - log z_i
-                ent += float((np.log(z) - np.einsum("ij,ij->i", p, x)).sum())
-                q[blk] = p
-    return ent / b
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
+        # E <= 1, so the next column sums are at most sum(u)
+        if v.max() <= _F32_MAX and u.min() > 0.0 and u.sum() <= _F32_MAX:
+            continue
+        c = (0.0 if c is None else c) - np.log(v, out=np.full(kc, -np.inf),
+                                               where=v > 0)
+        x = np.matmul(f, w, out=q).astype(np.float64)
+        x /= temperature
+        x -= c      # c_j = inf: the column stays empty
+        x -= x.max(axis=1, keepdims=True)
+        np.exp(x, out=x)
+        x /= x.sum(axis=1, keepdims=True)
+        q[...] = x
+        u, v = np.ones(b), np.ones(kc)
+    v32 = v.astype(np.float32)
+    if c is not None:
+        # after a fold log E is no longer (s - shift) / T: read
+        # sum_j q_ij log E_ij off E itself
+        lin = -u * (entr(q) @ v32)
+    q *= v32
+    q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
+    if c is None:
+        # sum_j q_ij (s_ij - shift_i) / T, with s_i = f_i W
+        lin = (np.einsum("ij,ij->i", q @ w.T, f) - shift) / temperature
+    log_v = np.log(v, out=np.zeros(kc), where=v > 0)
+    ent = -(lin + np.log(u) + q @ log_v.astype(np.float32))
+    return q, float(ent.mean())
 
 
 def student_assign(scores, temperature):

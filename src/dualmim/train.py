@@ -147,7 +147,7 @@ class Trainer:
             cf, pf = head(tokens)
             cls_feats.append(cf.data)
             patch_feats.append(pf.data)
-        # Sinkhorn forms the scores against the prototypes block by block
+        # Sinkhorn forms the scores against the prototypes into its output
         targets = pl.teacher_targets(cls_feats, patch_feats,
                                      head.class_out.w.data,
                                      head.patch_out.w.data,

@@ -6,7 +6,6 @@ from scipy.special import logsumexp
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
-from dualmim import pseudolabel
 from dualmim.pseudolabel import (class_target_average, mean_row_entropy,
                                  nearest_patch_match_batch, sinkhorn_normalize,
                                  student_assign, teacher_targets)
@@ -95,9 +94,7 @@ def test_sinkhorn_scaling_vectors_match_f64_oracle():
         assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
 
 
-def test_sinkhorn_scores_from_feats_match_f64_oracle(monkeypatch):
-    # small blocks, so most shapes end in a partial one
-    monkeypatch.setattr(pseudolabel, "SINKHORN_BLOCK_ROWS", 16)
+def test_sinkhorn_scores_from_feats_match_f64_oracle():
     rng = np.random.default_rng(16)
     for _ in range(25):
         b = int(rng.integers(1, 100))
@@ -129,12 +126,10 @@ def test_sinkhorn_in_pass_entropy_matches_rows():
     assert (q == 0.0).mean() > 0.05
 
 
-def test_sinkhorn_overflowing_scaling_vectors_fold_into_exponent(
-        monkeypatch):
-    # scores spanning hundreds of temperatures: the float32 copies of the
-    # scaling vectors overflow, so Sinkhorn runs on log potentials, here
-    # over several row blocks (the last one partial)
-    monkeypatch.setattr(pseudolabel, "SINKHORN_BLOCK_ROWS", 48)
+def test_sinkhorn_overflowing_scaling_vectors_fold_into_exponent():
+    # scores spanning hundreds of temperatures: against the global max
+    # most columns underflow and get zero mass, and the float32 copies of
+    # the scaling vectors overflow, so log v folds into the exponent
     rng = np.random.default_rng(17)
     for shape, std, temp in (((256, 512), 5.0, 0.02),
                              ((64, 64), 10.0, 0.01)):
@@ -143,7 +138,30 @@ def test_sinkhorn_overflowing_scaling_vectors_fold_into_exponent(
         assert np.isfinite(q).all() and np.isfinite(entropy)
         assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
         assert abs(entropy - mean_row_entropy(q)) < 1e-5
-        assert np.abs(q - _log_sinkhorn_oracle(scores, temp, 3)).max() < 1e-6
+        # the live columns are Sinkhorn of the matrix without the dead ones
+        live = q.any(axis=0)
+        assert np.abs(q[:, live] - _log_sinkhorn_oracle(
+            scores[:, live], temp, 3)).max() < 1e-6
+
+
+def test_sinkhorn_fold_keeps_a_faint_column_alive():
+    # one entry of column 2 sits 86 temperatures below the global max, the
+    # rest underflow: the column keeps its mass, but with B / K_c >= 64
+    # its v overflows float32, and the fold gives the log-domain result
+    # where the scaling vectors alone gave NaN. The live entry is a normal
+    # float32 (an E entry below float32 tiny carries too few bits for a
+    # 1e-6 comparison, fold or not)
+    rng = np.random.default_rng(18)
+    for b, kc, temp in ((256, 4, 0.05), (1024, 16, 0.1)):
+        scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
+        top = scores.max()
+        scores[:, 2] = top - 200 * temp
+        scores[int(rng.integers(b)), 2] = top - 86 * temp
+        for iters in (1, 3, 5):
+            q, entropy = sinkhorn_normalize(scores, _eye(scores), iters, temp)
+            assert np.abs(q - _log_sinkhorn_oracle(scores, temp,
+                                                   iters)).max() < 1e-6
+            assert abs(entropy - mean_row_entropy(q)) < 1e-5
 
 
 def test_sinkhorn_writes_into_out():
@@ -273,6 +291,22 @@ def test_match_all_ties_pick_first():
     assert np.allclose(dist, 2.0, atol=1e-5)
 
 
+def _brute_force_match(s, folds):
+    """Per student row: (distance, fold, row) of the first strictly
+    closest teacher row, by a plain loop over every pair."""
+    su = s / np.linalg.norm(s, axis=1, keepdims=True)
+    best_rows = []
+    for i in range(len(s)):
+        best = (np.inf, None, None)
+        for kk, fold in enumerate(folds):
+            for ff, t in enumerate(fold):
+                dist = 1.0 - float(su[i] @ (t / np.linalg.norm(t)))
+                if dist < best[0] - 1e-7:
+                    best = (dist, kk, ff)
+        best_rows.append(best)
+    return best_rows
+
+
 def test_match_against_brute_force():
     rng = np.random.default_rng(7)
     for _ in range(200):
@@ -288,15 +322,7 @@ def test_match_against_brute_force():
             for fold in folds:
                 fold[:] = dup
         fold_idx, row_idx, distance = _unbatched(s, folds)
-        su = s / np.linalg.norm(s, axis=1, keepdims=True)
-        for i in range(m):
-            best = (np.inf, None, None)
-            for kk in range(k):
-                for ff in range(f):
-                    t = folds[kk][ff]
-                    dist = 1.0 - float(su[i] @ (t / np.linalg.norm(t)))
-                    if dist < best[0] - 1e-7:
-                        best = (dist, kk, ff)
+        for i, best in enumerate(_brute_force_match(s, folds)):
             assert (fold_idx[i], row_idx[i]) <= (best[1], best[2])
             assert abs(distance[i] - best[0]) < 1e-5
 
@@ -307,12 +333,12 @@ def test_match_batch_matches_single():
     folds = [rng.standard_normal((3, 4, 8)).astype(np.float32)
              for _ in range(2)]
     fold_idx, row_idx, dist = nearest_patch_match_batch(s, folds)
-    # each image is matched on its own rows only
+    # each image matches the single-image loop over its own rows only
     for b in range(3):
-        one_fold, one_row, one_dist = _unbatched(s[b], [f[b] for f in folds])
-        assert np.array_equal(fold_idx[b], one_fold)
-        assert np.array_equal(row_idx[b], one_row)
-        assert np.allclose(dist[b], one_dist, atol=1e-6)
+        best = _brute_force_match(s[b], [f[b] for f in folds])
+        assert np.array_equal(fold_idx[b], [kk for _, kk, _ in best])
+        assert np.array_equal(row_idx[b], [ff for _, _, ff in best])
+        assert np.allclose(dist[b], [d for d, _, _ in best], atol=1e-6)
 
 
 def test_class_average_single_fold_identity():
