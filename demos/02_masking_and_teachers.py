@@ -22,8 +22,8 @@ mask = gen_mask(n_tokens=64, ratio=0.75, rng=rng)
 folds = split_folds(mask, num_folds=3, rng=rng)
 print(f"64 tokens, ratio 0.75 -> {mask.visible_indices.size} visible, "
       f"{mask.masked_indices.size} masked")
-print(f"masked set split into {[f.size for f in folds.folds]}")
-assert set(np.concatenate(folds.folds).tolist()) == set(
+print(f"masked set split into {folds.shape[0]} folds of {folds.shape[1]}")
+assert set(folds.reshape(-1).tolist()) == set(
     mask.masked_indices.tolist()), "folds partition the masked set exactly"
 
 # -- 2. the two momentum schedules ------------------------------------------------
@@ -40,8 +40,7 @@ print("pseudo-label teacher momentum (per iteration):",
 # the teacher drifts toward the student at rate (1 - m); by the end of the
 # pseudo-label schedule m = 1 and the teacher freezes entirely
 student = {"w": Tensor(np.ones(4, np.float32), requires_grad=True)}
-teacher = TeacherState("reconstruction",
-                       {"w": Tensor(np.zeros(4, np.float32))}, rec)
+teacher = TeacherState({"w": Tensor(np.zeros(4, np.float32))}, rec)
 for step in range(5):
     ema_update(teacher, student, m=0.5)
     print(f"after update {step + 1}: teacher w = "

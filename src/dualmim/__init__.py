@@ -9,12 +9,12 @@ fast-updated EMA teacher across K masked-token folds.
 from .config import TrainConfig, load_config
 from .errors import ConfigError, DataError, NumericError
 from .losses import LossReport, LossWeights
-from .masking import FoldSet, MaskSpec, gen_mask, split_folds
+from .masking import MaskSpec, gen_mask, split_folds
 from .tensor import Tensor, concat, gelu, layernorm, softmax
 from .train import Trainer, knn_eval, linear_probe, pretrain
 
 __all__ = [
-    "ConfigError", "DataError", "FoldSet", "LossReport", "LossWeights",
+    "ConfigError", "DataError", "LossReport", "LossWeights",
     "MaskSpec", "NumericError", "Tensor", "TrainConfig", "Trainer",
     "concat", "gelu", "gen_mask", "knn_eval", "layernorm", "linear_probe",
     "load_config", "pretrain", "softmax", "split_folds",

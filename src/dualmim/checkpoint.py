@@ -15,6 +15,7 @@ save -> load -> save is byte-identical.
 """
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -26,26 +27,40 @@ VERSION = 1
 
 
 def save_checkpoint(path, config_json, run_state, records):
-    """`records`: ordered dict/list of (name, float32 ndarray)."""
+    """`records`: ordered dict/list of (name, float32 ndarray).
+
+    The bytes go to a temporary file next to `path`, which is flushed,
+    fsynced and then renamed over `path`, so a failed write leaves the
+    previous checkpoint as it was.
+    """
     items = list(records.items()) if isinstance(records, dict) else list(records)
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", VERSION))
-        cfg = config_json.encode("utf-8")
-        fh.write(struct.pack("<Q", len(cfg)))
-        fh.write(cfg)
-        state = json.dumps(run_state, sort_keys=True).encode("utf-8")
-        fh.write(struct.pack("<Q", len(state)))
-        fh.write(state)
-        fh.write(struct.pack("<I", len(items)))
-        for name, arr in items:
-            arr = np.ascontiguousarray(arr, dtype="<f4")
-            nb = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.tobytes())
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", VERSION))
+            cfg = config_json.encode("utf-8")
+            fh.write(struct.pack("<Q", len(cfg)))
+            fh.write(cfg)
+            state = json.dumps(run_state, sort_keys=True).encode("utf-8")
+            fh.write(struct.pack("<Q", len(state)))
+            fh.write(state)
+            fh.write(struct.pack("<I", len(items)))
+            for name, arr in items:
+                arr = np.ascontiguousarray(arr, dtype="<f4")
+                nb = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(nb)))
+                fh.write(nb)
+                fh.write(struct.pack("<B", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path):

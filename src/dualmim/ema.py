@@ -46,8 +46,7 @@ class TeacherState:
     initialized as an exact copy of the student and never require grad.
     """
 
-    def __init__(self, role, params, schedule, init_from=None):
-        self.role = role
+    def __init__(self, params, schedule, init_from=None):
         self.schedule = schedule
         self.update_count = 0
         self.params = params

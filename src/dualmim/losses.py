@@ -64,14 +64,15 @@ def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
     """Eq. of the reconstruction objective over all masked positions.
 
     `decoder_out`: [B, N+1, D] Tensor (class token at row 0);
-    `teacher_fold_tokens`: list of K arrays [B, F, D] of raw teacher patch
-    tokens (class rows already stripped), aligned with `folds.folds`.
-    Returns (scalar Tensor, mean cosine float).
+    `teacher_fold_tokens`: [K, B, F, D] raw teacher patch tokens (class
+    rows already stripped), fold k at the positions `folds[k]` of the
+    [K, F] `folds`. Returns (scalar Tensor, mean cosine float).
     """
-    positions = np.concatenate(folds.folds)
-    targets = np.concatenate(
-        [normalize_targets(t, eps) for t in teacher_fold_tokens], axis=1)
-    student_rows = decoder_out.take(positions + 1, axis=1)  # +1 skips class row
+    k, b, f, d = teacher_fold_tokens.shape
+    targets = normalize_targets(teacher_fold_tokens, eps)
+    targets = targets.transpose(1, 0, 2, 3).reshape(b, k * f, d)
+    # +1 skips the class row
+    student_rows = decoder_out.take(folds.reshape(-1) + 1, axis=1)
     loss = cosine_recon_loss(student_rows, targets)
     return loss, 1.0 - float(loss.data)
 

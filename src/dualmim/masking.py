@@ -24,12 +24,6 @@ class MaskSpec:
         return self.m.shape[0]
 
 
-@dataclass
-class FoldSet:
-    num_folds: int
-    folds: list  # K int arrays, equal length, disjoint, covering masked set
-
-
 def validate_masking(n_tokens, ratio, num_folds):
     """Reject configurations whose fold arithmetic does not come out even."""
     if not 0.0 < ratio < 1.0:
@@ -61,25 +55,13 @@ def gen_mask(n_tokens, ratio, rng):
 
 
 def split_folds(mask, num_folds, rng):
-    """Randomly permute the masked indices and chunk them into K folds."""
+    """Randomly permute the masked indices and chunk them into K folds.
+
+    Returns a [K, F] index array; its rows are disjoint and together cover
+    the masked set.
+    """
     n_masked = mask.masked_indices.shape[0]
     if n_masked % num_folds != 0:
         raise ConfigError(
             f"{n_masked} masked tokens do not split into {num_folds} folds")
-    shuffled = rng.permutation(mask.masked_indices)
-    fold_len = n_masked // num_folds
-    folds = [shuffled[k * fold_len:(k + 1) * fold_len] for k in range(num_folds)]
-    return FoldSet(num_folds=num_folds, folds=folds)
-
-
-def gather_fold_patches(patches, fold):
-    """Rows of `patches` named by `fold`, in fold order.
-
-    `patches` is [N, P*P*C] or batched [B, N, P*P*C]; the class token is
-    prepended later, at embedding time.
-    """
-    fold = np.asarray(fold)
-    n = patches.shape[-2]
-    if fold.min() < 0 or fold.max() >= n:
-        raise IndexError(f"fold index out of range for {n} patches")
-    return np.take(patches, fold, axis=-2)
+    return rng.permutation(mask.masked_indices).reshape(num_folds, -1)

@@ -22,28 +22,15 @@ _F32_MAX = float(np.finfo(np.float32).max)
 
 
 @dataclass
-class ClusterAssignments:
-    """Probability rows over the prototypes for one teacher fold."""
-    patch: np.ndarray   # [B, F, K_c] view into FoldTargets.patch_rows
-    cls: np.ndarray     # [B, K_c] (class-token assignments)
-
-
-@dataclass
 class FoldTargets:
-    """Sinkhorn targets of every fold, iterable as ClusterAssignments.
+    """Sinkhorn targets of every fold, fold-major.
 
-    The patch rows of all folds live in one fold-major array, so the row
-    of fold k, image b, fold position f is `(k * B + b) * F + f`.
+    The patch row of fold k, image b, fold position f is
+    `(k * B + b) * F + f`.
     """
-    folds: list              # one ClusterAssignments per fold
     patch_rows: np.ndarray   # [K * B * F, K_c]
+    cls: np.ndarray          # [K, B, K_c] class-token assignments
     patch_entropy: float     # mean row entropy (nats) of the patch targets
-
-    def __iter__(self):
-        return iter(self.folds)
-
-    def __len__(self):
-        return len(self.folds)
 
 
 def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
@@ -75,16 +62,20 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     of log u; the rounds go on from u = v = 1. Inputs that never fold keep
     the scaling-vector result.
 
-    Returns (Q [B, K_c] float32, mean row entropy in nats).
+    Returns (Q [B, K_c] float32, mean row entropy in nats). Non-finite
+    inputs, or scores that overflow float32, raise ValueError.
     """
     f = np.asarray(feats, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
-    q = np.matmul(f, w, out=out)
+    if not (np.isfinite(f).all() and np.isfinite(w).all()):
+        raise ValueError("sinkhorn_normalize requires finite inputs")
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = np.matmul(f, w, out=out)   # an overflow fails the check below
     b, kc = q.shape
     row_max = q.max(axis=1)
-    top = row_max.max()
-    if not (np.isfinite(top) and np.isfinite(q.min())):
+    if not np.isfinite(row_max).all():
         raise ValueError("sinkhorn_normalize requires finite scores")
+    top = row_max.max()
     shift = np.where(row_max < top - ROW_SHIFT_T * temperature, row_max, top)
     q -= shift[:, None]
     q *= np.float32(1.0 / temperature)
@@ -130,31 +121,28 @@ def student_assign(scores, temperature):
     return softmax(scores * (1.0 / temperature), axis=-1)
 
 
-def teacher_targets(fold_class_feats, fold_patch_feats, class_weight,
-                    patch_weight, n_iters, temperature):
+def teacher_targets(class_feats, patch_feats, class_weight, patch_weight,
+                    n_iters, temperature):
     """Sinkhorn targets per fold, from head features and prototypes.
 
-    `fold_class_feats`: K arrays [B, hidden] (or one [K, B, hidden]
-    array); `fold_patch_feats`: K arrays [B, F, hidden] (or one
-    [K, B, F, hidden] array); the scores are `feats @ weight` with the
-    [hidden, K_c] `class_weight` and `patch_weight`. Sinkhorn runs across
-    the batch dimension, folds kept separate; patch rows of one fold are
-    balanced jointly across batch and position. Every fold's patch rows
-    are written into one preallocated fold-major array.
+    `class_feats`: [K, B, hidden]; `patch_feats`: [K, B, F, hidden]; the
+    scores are `feats @ weight` with the [hidden, K_c] `class_weight` and
+    `patch_weight`. Sinkhorn runs across the batch dimension, folds kept
+    separate; patch rows of one fold are balanced jointly across batch and
+    position. Every fold is written into one preallocated fold-major array.
     """
-    k = len(fold_patch_feats)
-    b, f = fold_patch_feats[0].shape[:2]
-    kc = patch_weight.shape[1]
-    rows = np.empty((k, b * f, kc), np.float32)
-    folds, entropies = [], []
-    for i, (cf, pf) in enumerate(zip(fold_class_feats, fold_patch_feats)):
-        cls, _ = sinkhorn_normalize(cf, class_weight, n_iters, temperature)
-        _, ent = sinkhorn_normalize(pf.reshape(b * f, -1), patch_weight,
-                                    n_iters, temperature, out=rows[i])
-        folds.append(ClusterAssignments(patch=rows[i].reshape(b, f, kc),
-                                        cls=cls))
+    k, b, f, _ = patch_feats.shape
+    rows = np.empty((k, b * f, patch_weight.shape[1]), np.float32)
+    cls = np.empty((k, b, class_weight.shape[1]), np.float32)
+    entropies = []
+    for i in range(k):
+        sinkhorn_normalize(class_feats[i], class_weight, n_iters, temperature,
+                           out=cls[i])
+        _, ent = sinkhorn_normalize(patch_feats[i].reshape(b * f, -1),
+                                    patch_weight, n_iters, temperature,
+                                    out=rows[i])
         entropies.append(ent)
-    return FoldTargets(folds=folds, patch_rows=rows.reshape(k * b * f, kc),
+    return FoldTargets(patch_rows=rows.reshape(k * b * f, -1), cls=cls,
                        patch_entropy=float(np.mean(entropies)))
 
 
@@ -168,27 +156,20 @@ def nearest_patch_match_batch(student_feats, teacher_fold_feats):
     """Argmin cosine distance from each student row to every teacher row
     of the same image, across all folds.
 
-    `student_feats`: [B, M, D]; `teacher_fold_feats`: list of K arrays
-    [B, F, D]. Returns (fold_idx, row_idx, distance), each [B, M]. Ties
-    resolve to the smallest (fold, row) pair: argmin picks the first
-    occurrence, which is exactly that order once folds are concatenated.
-    Zero-norm rows behave as distance 1 to everything.
+    `student_feats`: [B, M, D]; `teacher_fold_feats`: [K, B, F, D].
+    Returns (fold_idx, row_idx, distance), each [B, M]. Ties resolve to
+    the smallest (fold, row) pair: argmin picks the first occurrence,
+    which is exactly that order once folds are concatenated. Zero-norm
+    rows behave as distance 1 to everything.
     """
     s = _unit_rows(np.asarray(student_feats, dtype=np.float32))
-    t = _unit_rows(np.concatenate([np.asarray(t, dtype=np.float32)
-                                   for t in teacher_fold_feats],
-                                  axis=1))  # [B, K*F, D]
+    t = np.asarray(teacher_fold_feats, dtype=np.float32)
+    fold_len = t.shape[2]
+    t = _unit_rows(np.concatenate(t, axis=1))  # [B, K*F, D]
     dist = 1.0 - np.einsum("bmd,bnd->bmn", s, t)
     flat = dist.argmin(axis=2)
-    fold_len = teacher_fold_feats[0].shape[1]
     picked = np.take_along_axis(dist, flat[:, :, None], axis=2)[:, :, 0]
     return flat // fold_len, flat % fold_len, picked
-
-
-def class_target_average(fold_class_assignments):
-    """Elementwise mean of the per-fold class distributions."""
-    stack = np.stack(fold_class_assignments, axis=0)
-    return stack.mean(axis=0)
 
 
 def mean_row_entropy(rows):

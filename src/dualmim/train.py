@@ -19,7 +19,7 @@ from . import losses as losses_mod
 from . import pseudolabel as pl
 from .config import TEACHER_SINGLE, TrainConfig
 from .errors import DataError, NumericError
-from .masking import FoldSet, gen_mask, split_folds
+from .masking import gen_mask, split_folds
 from .optim import AdamW, lr_at
 from .tensor import Tensor, concat, no_grad
 from .vit import Decoder, Encoder, ProjectionHead, patchify_batch
@@ -73,95 +73,74 @@ class Trainer:
         self.iters_done_in_epoch = 0   # steps already taken in epoch epochs_done
 
     def _build_teachers(self, total_iters):
+        """`self.teachers` maps each checkpoint prefix to its TeacherState:
+        `teacher_single`, or `teacher_rec` plus `teacher_cl` when the
+        pseudo-label losses are on."""
         cfg = self.cfg
         throwaway = np.random.default_rng(0)
 
-        def clone_encoder():
-            return Encoder(cfg.model, throwaway)
-
-        def clone_head():
-            return ProjectionHead(cfg.head, throwaway, cfg.model.embed_dim)
-
-        def named(encoder, head):
-            params = {f"encoder.{k}": v for k, v in encoder.params().items()}
-            if head is not None:
+        def teacher(e, with_head):
+            enc = Encoder(cfg.model, throwaway)
+            params = {f"encoder.{k}": v for k, v in enc.params().items()}
+            head = None
+            if with_head:
+                head = ProjectionHead(cfg.head, throwaway, cfg.model.embed_dim)
                 params |= {f"head.{k}": v for k, v in head.params().items()}
-            return params
-
-        def schedule(e):
             total = (total_iters if e.frequency == ema_mod.PER_ITERATION
                      else cfg.optim.total_epochs)
-            return ema_mod.EmaSchedule(e.start_momentum, e.end_momentum,
-                                       e.frequency, total)
+            schedule = ema_mod.EmaSchedule(e.start_momentum, e.end_momentum,
+                                           e.frequency, total)
+            return (ema_mod.TeacherState(params, schedule,
+                                         init_from=self.student_params),
+                    enc, head)
 
         if cfg.teacher_mode == TEACHER_SINGLE:
-            enc = clone_encoder()
-            head = clone_head() if self.pseudo_enabled else None
-            state = ema_mod.TeacherState(
-                "single", named(enc, head), schedule(cfg.ema_rec),
-                init_from=self.student_params)
-            self.t_rec = self.t_cl = state
-            self.t_rec_encoder = self.t_cl_encoder = enc
-            self.t_cl_head = head
+            self.t_rec, self.t_rec_encoder, self.t_cl_head = teacher(
+                cfg.ema_rec, self.pseudo_enabled)
+            self.t_cl, self.t_cl_encoder = self.t_rec, self.t_rec_encoder
+            self.teachers = {"teacher_single": self.t_rec}
         else:
-            enc_r = clone_encoder()
-            self.t_rec = ema_mod.TeacherState(
-                "reconstruction", named(enc_r, None), schedule(cfg.ema_rec),
-                init_from=self.student_params)
-            self.t_rec_encoder = enc_r
+            self.t_rec, self.t_rec_encoder, _ = teacher(cfg.ema_rec, False)
+            self.teachers = {"teacher_rec": self.t_rec}
+            self.t_cl = self.t_cl_encoder = self.t_cl_head = None
             if self.pseudo_enabled:
-                enc_c, head_c = clone_encoder(), clone_head()
-                self.t_cl = ema_mod.TeacherState(
-                    "pseudo_labeling", named(enc_c, head_c), schedule(cfg.ema_cl),
-                    init_from=self.student_params)
-                self.t_cl_encoder, self.t_cl_head = enc_c, head_c
-            else:
-                self.t_cl = None
-                self.t_cl_encoder = self.t_cl_head = None
+                self.t_cl, self.t_cl_encoder, self.t_cl_head = teacher(
+                    cfg.ema_cl, True)
+                self.teachers["teacher_cl"] = self.t_cl
 
     # -- forward pieces -----------------------------------------------------
 
-    def _teacher_fold_tokens(self, encoder, patches, folds):
-        """Run an EMA encoder over each fold; returns list of [B, F, D]
-        patch-token arrays (class rows stripped) as plain ndarrays."""
-        out = []
-        for fold in folds.folds:
-            fold_patches = np.take(patches, fold, axis=1)
-            tokens = encoder(fold_patches, fold)  # no grad: teacher is frozen
-            assert not tokens.requires_grad, "teacher output joined the tape"
-            out.append(tokens.data[:, 1:, :])
-        return out
+    def _teacher_fold_tokens(self, encoder, patches, folds, head=None):
+        """Run a frozen teacher encoder over each row of the [K, F] `folds`.
 
-    def _pseudo_targets(self, patches_complex, pseudo_folds):
-        """Teacher pass of the pseudo-labeling branch; all plain arrays.
-
-        Returns (pl.FoldTargets, list of K [B, F, D] teacher patch tokens).
+        Returns its [K, B, F, D] patch tokens (class rows stripped) and,
+        with `head`, the head's [K, B, hidden] class and [K, B, F, hidden]
+        patch features (else None); all plain arrays.
         """
-        sk = self.cfg.sinkhorn
-        head = self.t_cl_head
-        cls_feats, patch_feats, feats = [], [], []
-        for fold in pseudo_folds.folds:
-            fold_patches = np.take(patches_complex, fold, axis=1)
-            tokens = self.t_cl_encoder(fold_patches, fold)
-            feats.append(tokens.data[:, 1:, :])
-            cf, pf = head(tokens)
-            cls_feats.append(cf.data)
-            patch_feats.append(pf.data)
-        # Sinkhorn forms the scores against the prototypes into its output
-        targets = pl.teacher_targets(cls_feats, patch_feats,
-                                     head.class_out.w.data,
-                                     head.patch_out.w.data,
-                                     sk.n_iters, sk.teacher_temperature)
-        return targets, feats
+        k, f = folds.shape
+        b, hidden = patches.shape[0], self.cfg.head.hidden_dim
+        tokens = np.empty((k, b, f, self.cfg.model.embed_dim), np.float32)
+        cls_feats = patch_feats = None
+        if head is not None:
+            cls_feats = np.empty((k, b, hidden), np.float32)
+            patch_feats = np.empty((k, b, f, hidden), np.float32)
+        for i, fold in enumerate(folds):
+            out = encoder(np.take(patches, fold, axis=1), fold)
+            assert not out.requires_grad, "teacher output joined the tape"
+            tokens[i] = out.data[:, 1:]
+            if head is not None:
+                cf, pf = head(out)
+                cls_feats[i], patch_feats[i] = cf.data, pf.data
+        return tokens, cls_feats, patch_feats
 
-    def compute_loss(self, batch, mask, folds, pseudo_folds, rec_tokens,
-                     assignments, teacher_feats, frozen_match=None,
-                     train=True, dp_rng=None):
+    def compute_loss(self, batch, mask, folds, rec_tokens, assignments,
+                     teacher_feats, frozen_match=None, train=True,
+                     dp_rng=None):
         """Student forward + all enabled loss terms.
 
         Everything teacher-side arrives precomputed as constants:
         `assignments` is the teacher's pl.FoldTargets and `teacher_feats`
-        its K [B, F, D] patch tokens. With `frozen_match` set, the
+        its [K, B, F, D] patch tokens. With `frozen_match` set, the
         patch-target matching from a previous call is reused
         (finite-difference checks need the argmin frozen).
         """
@@ -193,7 +172,7 @@ class Trainer:
                         masked_rows.data, teacher_feats)
                 fold_idx, row_idx = match[0], match[1]
                 b, m = fold_idx.shape
-                f = teacher_feats[0].shape[1]
+                f = teacher_feats.shape[2]
                 # row of the fold-major target table per student position
                 rows = (fold_idx * b + np.arange(b)[:, None]) * f + row_idx
                 loss_p = losses_mod.tempered_cross_entropy(
@@ -202,7 +181,7 @@ class Trainer:
                     self.head.patch_out.w, temp)
                 patch_entropy = assignments.patch_entropy
             if w.lambda_c > 0:
-                c_target = pl.class_target_average([a.cls for a in assignments])
+                c_target = assignments.cls.mean(axis=0)
                 loss_c = losses_mod.tempered_cross_entropy(
                     c_target, np.arange(c_target.shape[0]), cls_feat,
                     self.head.class_out.w, temp)
@@ -223,24 +202,25 @@ class Trainer:
         folds = split_folds(mask, cfg.masking.num_folds,
                             _stream(cfg.seed, epoch, it_in_epoch, _RNG_FOLD))
 
-        rec_tokens = None
+        p = cfg.model.patch_size
+        rec_tokens = assignments = teacher_feats = None
         if cfg.loss.lambda_m > 0:
-            patches = patchify_batch(batch.simple, cfg.model.patch_size)
-            rec_tokens = self._teacher_fold_tokens(
-                self.t_rec_encoder, patches, folds)
-
-        assignments = teacher_feats = None
-        pseudo_folds = folds
+            rec_tokens, _, _ = self._teacher_fold_tokens(
+                self.t_rec_encoder, patchify_batch(batch.simple, p), folds)
         if self.pseudo_enabled:
-            if not cfg.multifold_pseudo_labeling:
-                pseudo_folds = FoldSet(num_folds=1,
-                                       folds=[np.concatenate(folds.folds)])
+            pseudo_folds = (folds if cfg.multifold_pseudo_labeling
+                            else folds.reshape(1, -1))
             view = (batch.complex if cfg.augmentation_mode == "dual"
                     else batch.simple)
-            patches_c = patchify_batch(view, cfg.model.patch_size)
-            assignments, teacher_feats = self._pseudo_targets(
-                patches_c, pseudo_folds)
-        return mask, folds, pseudo_folds, rec_tokens, assignments, teacher_feats
+            head = self.t_cl_head
+            teacher_feats, cls_feats, patch_feats = self._teacher_fold_tokens(
+                self.t_cl_encoder, patchify_batch(view, p), pseudo_folds, head)
+            # Sinkhorn forms the scores against the prototypes into its output
+            sk = cfg.sinkhorn
+            assignments = pl.teacher_targets(
+                cls_feats, patch_feats, head.class_out.w.data,
+                head.patch_out.w.data, sk.n_iters, sk.teacher_temperature)
+        return mask, folds, rec_tokens, assignments, teacher_feats
 
     def train_step(self, batch, epoch, it_in_epoch, at_epoch_end=False):
         """One optimization step; returns (LossReport, m_rec, m_cl, lr)."""
@@ -257,13 +237,9 @@ class Trainer:
         # the total holds the whole tape; drop it before the next step
         report.total_tensor = None
         # teacher EMA strictly after the optimizer step
-        for st in ({self.t_rec, self.t_cl} - {None}):
-            st.opt_step_seen = self.optimizer.step_count
-        ema_mod.maybe_update(self.t_rec, self.student_params,
-                             self.global_iter, epoch, at_epoch_end)
-        if self.t_cl is not None and self.t_cl is not self.t_rec:
-            ema_mod.maybe_update(self.t_cl, self.student_params,
-                                 self.global_iter, epoch, at_epoch_end)
+        for st in self.teachers.values():
+            ema_mod.maybe_update(st, self.student_params, self.global_iter,
+                                 epoch, at_epoch_end)
         self.global_iter += 1
         # momentum of the most recent applied update, read off the
         # checkpointed update_count so it survives resume:
@@ -278,13 +254,7 @@ class Trainer:
 
     def _records(self):
         recs = [(f"student.{k}", p.data) for k, p in self.student_params.items()]
-        if self.cfg.teacher_mode == TEACHER_SINGLE:
-            teacher_names = [("teacher_single", self.t_rec)]
-        else:
-            teacher_names = [("teacher_rec", self.t_rec)]
-            if self.t_cl is not None:
-                teacher_names.append(("teacher_cl", self.t_cl))
-        for prefix, st in teacher_names:
+        for prefix, st in self.teachers.items():
             recs += [(f"{prefix}.{k}", p.data) for k, p in st.params.items()]
         recs += [(f"adamw.m.{k}", v) for k, v in self.optimizer.m.items()]
         recs += [(f"adamw.v.{k}", v) for k, v in self.optimizer.v.items()]
@@ -310,12 +280,8 @@ class Trainer:
         cfg = TrainConfig.from_json(config_json)
         tr = cls(cfg, iters_per_epoch=state["iters_per_epoch"])
         ckpt.restore_into(records, tr.student_params, "student.")
-        if cfg.teacher_mode == TEACHER_SINGLE:
-            ckpt.restore_into(records, tr.t_rec.params, "teacher_single.")
-        else:
-            ckpt.restore_into(records, tr.t_rec.params, "teacher_rec.")
-            if tr.t_cl is not None:
-                ckpt.restore_into(records, tr.t_cl.params, "teacher_cl.")
+        for prefix, st in tr.teachers.items():
+            ckpt.restore_into(records, st.params, f"{prefix}.")
         m = {n: t for n, t in records if n.startswith("adamw.m.")}
         v = {n: t for n, t in records if n.startswith("adamw.v.")}
         for k in tr.optimizer.m:

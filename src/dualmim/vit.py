@@ -74,27 +74,7 @@ class ProjectionHeadConfig:
     output_dim: int = 4096
 
 
-# -- patch <-> image -----------------------------------------------------------
-
-def patchify(image, patch_size):
-    """[H, W, C] image -> [N, P*P*C] flattened patches, row-major order."""
-    h, w, c = image.shape
-    p = patch_size
-    if h % p != 0 or w % p != 0:
-        raise ConfigError(f"image {h}x{w} not divisible by patch size {p}")
-    x = image.reshape(h // p, p, w // p, p, c)
-    x = x.transpose(0, 2, 1, 3, 4)  # gh, gw, p, p, c
-    return np.ascontiguousarray(x.reshape(h // p * (w // p), p * p * c))
-
-
-def unpatchify(patches, patch_size, image_size, channels=3):
-    """Inverse of `patchify` (bit-exact roundtrip)."""
-    p = patch_size
-    g = image_size // p
-    x = patches.reshape(g, g, p, p, channels)
-    x = x.transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(x.reshape(image_size, image_size, channels))
-
+# -- image -> patches ----------------------------------------------------------
 
 def patchify_batch(images, patch_size):
     """[B, H, W, C] -> [B, N, P*P*C]."""

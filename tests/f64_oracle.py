@@ -78,7 +78,7 @@ class OracleLoss:
 
     def __init__(self, trainer, batch, ctx, match):
         cfg = trainer.cfg
-        mask, folds, pseudo_folds, rec_tokens, assignments, _ = ctx
+        mask, folds, rec_tokens, assignments, _ = ctx
         self.cfg = cfg
         self.vis = np.asarray(mask.visible_indices)
         self.msk = np.asarray(mask.masked_indices)
@@ -87,7 +87,7 @@ class OracleLoss:
         self.enc_pos = trainer.encoder.pos.astype(np.float64)
         self.dec_pos = trainer.decoder.pos.astype(np.float64)
         # frozen reconstruction targets: standardized, then unit-normalized
-        positions = np.concatenate(folds.folds)
+        positions = folds.reshape(-1)
         raw = np.concatenate(rec_tokens, axis=1).astype(np.float64)
         mu = raw.mean(axis=-1, keepdims=True)
         var = raw.var(axis=-1, keepdims=True)
@@ -96,12 +96,12 @@ class OracleLoss:
                                + _COS_EPS)
         self.rec_positions = positions
         # frozen pseudo-label targets
-        stacked = np.stack([a.patch for a in assignments]).astype(np.float64)
+        k, b, kc = assignments.cls.shape
+        stacked = assignments.patch_rows.reshape(k, b, -1, kc).astype(
+            np.float64)
         fold_idx, row_idx = match[0], match[1]
-        b_idx = np.arange(stacked.shape[1])[:, None]
-        self.patch_target = stacked[fold_idx, b_idx, row_idx]
-        self.class_target = np.mean(
-            [a.cls for a in assignments], axis=0).astype(np.float64)
+        self.patch_target = stacked[fold_idx, np.arange(b)[:, None], row_idx]
+        self.class_target = assignments.cls.mean(axis=0).astype(np.float64)
         self.params = {k: v.data.astype(np.float64)
                        for k, v in trainer.student_params.items()}
 

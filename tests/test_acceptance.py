@@ -104,12 +104,12 @@ def test_criterion_3_fold_arithmetic():
     big = gen_mask(196, 0.75, rng)
     big_folds = split_folds(big, 3, rng)
     ok_196 = (big.visible_indices.size == 49 and
-              [f.size for f in big_folds.folds] == [49, 49, 49])
+              big_folds.shape == (3, 49))
 
     small = gen_mask(64, 0.75, rng)
     small_folds = split_folds(small, 3, rng)
     ok_64 = (small.visible_indices.size == 16 and
-             [f.size for f in small_folds.folds] == [16, 16, 16])
+             small_folds.shape == (3, 16))
 
     try:
         validate_masking(64, 0.75, 5)
@@ -134,8 +134,7 @@ def test_criterion_4_ema():
                ema_mod.momentum_at(cl, 1000) == 1.0)
 
     student = {"w": Tensor(np.full(8, 4.0, np.float32), requires_grad=True)}
-    t = ema_mod.TeacherState("reconstruction",
-                             {"w": Tensor(np.full(8, 2.0, np.float32))}, rec)
+    t = ema_mod.TeacherState({"w": Tensor(np.full(8, 2.0, np.float32))}, rec)
     before = t.params["w"].data.copy()
     ema_mod.ema_update(t, student, 1.0)
     ok_m1 = np.array_equal(t.params["w"].data, before)
@@ -276,7 +275,6 @@ def _mae_reference_run(cfg, dataset, iters_per_epoch, n_iters):
 
     t_enc = Encoder(cfg.model, np.random.default_rng(0))
     teacher = ema_mod.TeacherState(
-        "reconstruction",
         {f"encoder.{k}": v for k, v in t_enc.params().items()},
         ema_mod.EmaSchedule(cfg.ema_rec.start_momentum,
                             cfg.ema_rec.end_momentum, cfg.ema_rec.frequency,
@@ -301,7 +299,7 @@ def _mae_reference_run(cfg, dataset, iters_per_epoch, n_iters):
                                 _stream(cfg.seed, epoch, it, _RNG_FOLD))
             patches = patchify_batch(batch.simple, cfg.model.patch_size)
             rec_tokens = []
-            for fold in folds.folds:
+            for fold in folds:
                 toks = t_enc(np.take(patches, fold, axis=1), fold)
                 rec_tokens.append(toks.data[:, 1:, :])
             dp_rng = _stream(cfg.seed, epoch, it, _RNG_DROPPATH)
@@ -310,7 +308,8 @@ def _mae_reference_run(cfg, dataset, iters_per_epoch, n_iters):
                               rng=dp_rng)
             dec_out = decoder(enc_out, mask.visible_indices,
                               mask.masked_indices)
-            loss, _ = losses_mod.recon_loss(dec_out, rec_tokens, folds)
+            loss, _ = losses_mod.recon_loss(dec_out, np.stack(rec_tokens),
+                                            folds)
             opt.zero_grad()
             loss.backward()
             opt.step(lr_at(it_global,

@@ -1,5 +1,7 @@
 """Checkpoint binary format tests."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -76,3 +78,25 @@ def test_restore_into_copies_and_validates(tmp_path):
     bad_shape = {"w": Tensor(np.zeros((3, 2), np.float32))}
     with pytest.raises(DataError, match="shape"):
         restore_into(loaded, bad_shape, "m.")
+
+
+def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
+    p = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(p, "{}", {"iter": 1}, _records(0))
+    before = open(p, "rb").read()
+    real = np.ascontiguousarray
+    calls = []
+
+    def fail_on_second_record(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise OSError("disk full")
+        return real(*args, **kwargs)
+
+    # the header and the first record are written, then the write fails
+    monkeypatch.setattr(np, "ascontiguousarray", fail_on_second_record)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(p, "{}", {"iter": 2}, _records(1))
+    monkeypatch.undo()
+    assert open(p, "rb").read() == before
+    assert os.listdir(tmp_path) == ["checkpoint.bin"]

@@ -33,8 +33,8 @@ def test_momentum_cl_endpoints():
 
 def _teacher_pair(t_val, s_val):
     student = {"w": Tensor(np.full(4, s_val, np.float32), requires_grad=True)}
-    teacher = TeacherState("reconstruction", {
-        "w": Tensor(np.full(4, t_val, np.float32))}, _sched())
+    teacher = TeacherState({"w": Tensor(np.full(4, t_val, np.float32))},
+                           _sched())
     return teacher, student
 
 
@@ -94,9 +94,8 @@ def test_per_epoch_fires_at_epoch_end():
 
 def test_per_iteration_fires_every_iteration():
     student = {"w": Tensor(np.ones(2, np.float32), requires_grad=True)}
-    teacher = TeacherState(
-        "pseudo_labeling", {"w": Tensor(np.zeros(2, np.float32))},
-        _sched(0.996, 1.0, PER_ITERATION, total=100))
+    teacher = TeacherState({"w": Tensor(np.zeros(2, np.float32))},
+                           _sched(0.996, 1.0, PER_ITERATION, total=100))
     for it in range(4):
         assert maybe_update(teacher, student, iteration=it, epoch=0,
                             at_epoch_end=False)

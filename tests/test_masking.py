@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from dualmim.errors import ConfigError
-from dualmim.masking import (FoldSet, gather_fold_patches, gen_mask,
-                             split_folds, validate_masking)
+from dualmim.masking import gen_mask, split_folds, validate_masking
 
 
 def test_mask_counts_196():
@@ -37,23 +36,22 @@ def test_mask_determinism():
 def test_folds_147_into_3x49():
     spec = gen_mask(196, 0.75, np.random.default_rng(1))
     folds = split_folds(spec, 3, np.random.default_rng(2))
-    assert len(folds.folds) == 3
-    assert all(f.size == 49 for f in folds.folds)
-    merged = np.sort(np.concatenate(folds.folds))
+    assert folds.shape == (3, 49)
+    merged = np.sort(folds.reshape(-1))
     assert np.array_equal(merged, spec.masked_indices)
 
 
 def test_folds_48_into_3x16():
     spec = gen_mask(64, 0.75, np.random.default_rng(1))
     folds = split_folds(spec, 3, np.random.default_rng(2))
-    assert [f.size for f in folds.folds] == [16, 16, 16]
+    assert folds.shape == (3, 16)
 
 
 def test_single_fold_is_masked_set():
     spec = gen_mask(64, 0.75, np.random.default_rng(3))
     folds = split_folds(spec, 1, np.random.default_rng(4))
-    assert len(folds.folds) == 1
-    assert set(folds.folds[0].tolist()) == set(spec.masked_indices.tolist())
+    assert folds.shape == (1, 48)
+    assert set(folds[0].tolist()) == set(spec.masked_indices.tolist())
 
 
 def test_non_divisible_rejected():
@@ -69,27 +67,3 @@ def test_degenerate_ratios_rejected():
     with pytest.raises(ConfigError):
         validate_masking(64, 0.001, 3)  # rounds to zero masked
 
-
-def test_gather_first_patch():
-    patches = np.arange(24, dtype=np.float32).reshape(8, 3)
-    out = gather_fold_patches(patches, np.array([0]))
-    assert np.array_equal(out, patches[:1])
-
-
-def test_gather_full_masked_submatrix():
-    spec = gen_mask(8, 0.5, np.random.default_rng(5))
-    patches = np.arange(32, dtype=np.float32).reshape(8, 4)
-    out = gather_fold_patches(patches, spec.masked_indices)
-    assert np.array_equal(out, patches[spec.masked_indices])
-
-
-def test_gather_scatter_roundtrip():
-    rng = np.random.default_rng(6)
-    patches = rng.standard_normal((16, 5)).astype(np.float32)
-    spec = gen_mask(16, 0.75, rng)
-    folds = split_folds(spec, 3, rng)
-    rebuilt = np.zeros_like(patches)
-    for fold in folds.folds:
-        rebuilt[fold] = gather_fold_patches(patches, fold)
-    assert np.array_equal(rebuilt[spec.masked_indices],
-                          patches[spec.masked_indices])

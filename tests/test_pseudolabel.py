@@ -6,9 +6,9 @@ from scipy.special import logsumexp
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
-from dualmim.pseudolabel import (class_target_average, mean_row_entropy,
-                                 nearest_patch_match_batch, sinkhorn_normalize,
-                                 student_assign, teacher_targets)
+from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match_batch,
+                                 sinkhorn_normalize, student_assign,
+                                 teacher_targets)
 from dualmim.tensor import Tensor
 
 
@@ -201,27 +201,39 @@ def test_sinkhorn_row_far_below_stays_finite():
     assert abs(entropy - mean_row_entropy(q)) < 1e-5
 
 
+@pytest.mark.filterwarnings("error")
 def test_sinkhorn_rejects_non_finite():
     scores = np.zeros((3, 4), np.float32)
     for bad in (np.nan, np.inf, -np.inf):
         scores[1, 2] = bad
         with pytest.raises(ValueError):
             sinkhorn_normalize(scores, _eye(scores), 3, 0.1)
+        with pytest.raises(ValueError):
+            sinkhorn_normalize(np.eye(3, dtype=np.float32), scores, 3, 0.1)
+    # finite inputs whose product overflows float32
+    feats = np.full((3, 2), 1e30, np.float32)
+    with pytest.raises(ValueError):
+        sinkhorn_normalize(feats, np.full((2, 4), 1e30, np.float32), 3, 0.1)
+    # ... with opposite signs, so the overflowing terms sum to NaN
+    weight = np.array([[1e30] * 4, [-1e30] * 4], np.float32)
+    with pytest.raises(ValueError):
+        sinkhorn_normalize(feats, weight, 3, 0.1)
 
 
 def test_teacher_targets_shapes_and_determinism():
     rng = np.random.default_rng(2)
-    cls = [rng.standard_normal((4, 16)).astype(np.float32) for _ in range(3)]
-    pat = [rng.standard_normal((4, 5, 16)).astype(np.float32) for _ in range(3)]
+    cls = rng.standard_normal((3, 4, 16)).astype(np.float32)
+    pat = rng.standard_normal((3, 4, 5, 16)).astype(np.float32)
     eye = _eye(cls[0])
     out1 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
     out2 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
-    assert len(out1) == 3
-    for a, b in zip(out1, out2):
-        assert a.patch.shape == (4, 5, 16)
-        assert a.cls.shape == (4, 16)
-        assert np.array_equal(a.patch, b.patch)
-        assert np.array_equal(a.cls, b.cls)
+    assert out1.patch_rows.shape == (3 * 4 * 5, 16)
+    assert out1.cls.shape == (3, 4, 16)
+    assert np.array_equal(out1.patch_rows, out2.patch_rows)
+    assert np.array_equal(out1.cls, out2.cls)
+    for fold in range(3):
+        q, _ = sinkhorn_normalize(cls[fold], eye, 3, 0.05)
+        assert np.array_equal(out1.cls[fold], q)
 
 
 def test_teacher_targets_fold_major_rows_and_entropy():
@@ -232,18 +244,17 @@ def test_teacher_targets_fold_major_rows_and_entropy():
     eye = _eye(cls[0])
     out = teacher_targets(cls, pat, eye, eye, 3, 0.05)
     assert out.patch_rows.shape == (k * b * f, kc)
-    for fold, a in enumerate(out):
-        # each fold's patch rows are a view of the one fold-major array
-        assert np.shares_memory(a.patch, out.patch_rows)
+    patch = out.patch_rows.reshape(k, b, f, kc)
+    for fold in range(k):
         q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), eye, 3,
                                   0.05)
-        assert np.array_equal(a.patch.reshape(b * f, kc), q)
+        assert np.array_equal(patch[fold].reshape(b * f, kc), q)
         for bb in range(b):
             for ff in range(f):
                 assert np.array_equal(
-                    out.patch_rows[(fold * b + bb) * f + ff], a.patch[bb, ff])
-    stacked = np.stack([a.patch for a in out])
-    assert abs(out.patch_entropy - mean_row_entropy(stacked)) < 1e-5
+                    out.patch_rows[(fold * b + bb) * f + ff],
+                    q[bb * f + ff])
+    assert abs(out.patch_entropy - mean_row_entropy(patch)) < 1e-5
 
 
 def test_assignment_entropy_decreases_with_temperature():
@@ -341,26 +352,22 @@ def test_match_batch_matches_single():
         assert np.allclose(dist[b], [d for d, _, _ in best], atol=1e-6)
 
 
+def _class_targets(k, b, kc, seed):
+    """The class target `compute_loss` trains on: the fold mean of the
+    teacher's class assignments."""
+    rng = np.random.default_rng(seed)
+    cls = rng.standard_normal((k, b, kc)).astype(np.float32)
+    pat = rng.standard_normal((k, b, 2, kc)).astype(np.float32)
+    eye = np.eye(kc, dtype=np.float32)
+    return cls, teacher_targets(cls, pat, eye, eye, 3, 0.5).cls.mean(axis=0)
+
+
 def test_class_average_single_fold_identity():
-    p, _ = sinkhorn_normalize(
-        np.random.default_rng(9).standard_normal((4, 8)),
-        np.eye(8, dtype=np.float32), 3, 0.5)
-    assert np.array_equal(class_target_average([p]), p)
-
-
-def test_class_average_two_one_hots():
-    a = np.zeros((1, 4), np.float32)
-    b = np.zeros((1, 4), np.float32)
-    a[0, 1] = 1.0
-    b[0, 3] = 1.0
-    avg = class_target_average([a, b])
-    assert np.allclose(avg, [[0.0, 0.5, 0.0, 0.5]])
+    cls, avg = _class_targets(1, 4, 8, seed=9)
+    p, _ = sinkhorn_normalize(cls[0], np.eye(8, dtype=np.float32), 3, 0.5)
+    assert np.array_equal(avg, p)
 
 
 def test_class_average_rows_sum_to_one():
-    rng = np.random.default_rng(10)
-    eye = np.eye(16, dtype=np.float32)
-    folds = [sinkhorn_normalize(rng.standard_normal((6, 16)), eye, 3, 0.5)[0]
-             for _ in range(3)]
-    avg = class_target_average(folds)
+    _, avg = _class_targets(3, 6, 16, seed=10)
     assert np.abs(avg.sum(axis=1) - 1.0).max() < 1e-6

@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from dualmim import ema as ema_mod
 from dualmim import vit
 from dualmim.checkpoint import load_checkpoint, save_checkpoint
 from dualmim.config import TrainConfig
@@ -104,10 +105,22 @@ def test_interrupt_resume_bit_exact(tmp_path, tiny_ds):
     assert ck_a == ck_b
 
 
-@pytest.mark.parametrize("stop_at", [2, 3])
-def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, stop_at):
+_RESUME_CONFIGS = {
+    "default": ({}, ["teacher_rec", "teacher_cl"]),
+    "single": ({"teacher_mode": "single"}, ["teacher_single"]),
+    "recon": ({"loss.lambda_c": 0.0, "loss.lambda_p": 0.0}, ["teacher_rec"]),
+}
+
+
+@pytest.mark.parametrize("mode,stop_at", [
+    pytest.param(mode, stop_at,
+                 id=str(stop_at) if mode == "default" else f"{mode}-{stop_at}")
+    for mode in _RESUME_CONFIGS for stop_at in (2, 3)])
+def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, mode, stop_at):
     # 4 iterations per epoch; stop inside the first epoch, then resume
-    cfg = _tiny_cfg(**{"optim.total_epochs": 2, "optim.batch_size": 16})
+    overrides, teachers = _RESUME_CONFIGS[mode]
+    cfg = _tiny_cfg(**{"optim.total_epochs": 2, "optim.batch_size": 16},
+                    **overrides)
     full = str(tmp_path / "full")
     pretrain(cfg, tiny_ds, full)
 
@@ -123,6 +136,13 @@ def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, stop_at):
     ck_a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
     ck_b = open(os.path.join(part, "checkpoint.bin"), "rb").read()
     assert ck_a == ck_b
+    # record groups in order: student, the teachers, then AdamW's moments
+    _, _, records = load_checkpoint(os.path.join(part, "checkpoint.bin"))
+    prefixes = ["student", *teachers, "adamw.m", "adamw.v"]
+    groups = [name[:7] if name.startswith("adamw.") else name.split(".")[0]
+              for name, _ in records]
+    assert list(dict.fromkeys(groups)) == prefixes
+    assert groups == sorted(groups, key=prefixes.index)
 
 
 def test_resume_state_without_in_epoch_iteration(tmp_path, tiny_ds):
@@ -147,15 +167,26 @@ def test_resume_config_mismatch_rejected(tmp_path, tiny_ds):
                  resume=os.path.join(out, "checkpoint.bin"))
 
 
-def test_teacher_update_strictly_after_optimizer(tmp_path, tiny_ds):
-    cfg = _tiny_cfg()
-    trainer = Trainer(cfg, iters_per_epoch=8)
-    from dualmim.data import epoch_order, make_batch
-    idx = epoch_order(len(tiny_ds), cfg.seed, 0)[:8]
-    batch = make_batch(tiny_ds, idx, cfg.seed, 0)
-    trainer.train_step(batch, 0, 0)
-    for st in {trainer.t_rec, trainer.t_cl} - {None}:
-        assert st.opt_step_seen == trainer.optimizer.step_count
+def test_teacher_update_strictly_after_optimizer(tiny_ds, monkeypatch):
+    from dualmim.data import epoch_order
+    maybe_update = ema_mod.maybe_update
+    for teacher_mode, n_teachers in (("dual", 2), ("single", 1)):
+        cfg = _tiny_cfg(teacher_mode=teacher_mode)
+        trainer = Trainer(cfg, iters_per_epoch=8)
+        idx = epoch_order(len(tiny_ds), cfg.seed, 0)[:8]
+        batch = make_batch(tiny_ds, idx, cfg.seed, 0)
+        updated = []
+
+        def spy(teacher, *args):
+            # the optimizer has already stepped at every teacher update
+            assert trainer.optimizer.step_count == 1
+            updated.append(teacher)
+            return maybe_update(teacher, *args)
+
+        monkeypatch.setattr(ema_mod, "maybe_update", spy)
+        trainer.train_step(batch, 0, 0)
+        assert len(trainer.teachers) == n_teachers
+        assert updated == list(trainer.teachers.values())
 
 
 def test_train_step_releases_its_tape(tiny_ds, monkeypatch):

@@ -6,8 +6,22 @@ from dualmim.losses import cosine_recon_loss
 from dualmim.masking import gen_mask
 from dualmim.tensor import Tensor
 from dualmim.vit import (Decoder, Encoder, ProjectionHead,
-                         ProjectionHeadConfig, ViTConfig, patchify,
-                         patchify_batch, unpatchify)
+                         ProjectionHeadConfig, ViTConfig, patchify_batch)
+
+
+def patchify(image, patch_size):
+    """One-image oracle: [H, W, C] -> [N, P*P*C], row-major patch order."""
+    h, w, c = image.shape
+    p = patch_size
+    x = image.reshape(h // p, p, w // p, p, c).transpose(0, 2, 1, 3, 4)
+    return x.reshape(h // p * (w // p), p * p * c)
+
+
+def unpatchify(patches, patch_size, image_size, channels=3):
+    """Inverse of `patchify`."""
+    p, g = patch_size, image_size // patch_size
+    x = patches.reshape(g, g, p, p, channels).transpose(0, 2, 1, 3, 4)
+    return x.reshape(image_size, image_size, channels)
 
 
 def _cfg(**kw):
@@ -19,18 +33,19 @@ def _cfg(**kw):
 
 def test_patchify_32x32():
     img = np.random.default_rng(0).random((32, 32, 3)).astype(np.float32)
-    patches = patchify(img, 4)
-    assert patches.shape == (64, 48)
+    patches = patchify_batch(img[None], 4)
+    assert patches.shape == (1, 64, 48)
 
 
 def test_patchify_224_gives_196_patches():
     img = np.zeros((224, 224, 3), np.float32)
-    assert patchify(img, 16).shape == (196, 16 * 16 * 3)
+    assert patchify_batch(img[None], 16).shape == (1, 196, 16 * 16 * 3)
 
 
 def test_patchify_roundtrip_bit_exact():
     img = np.random.default_rng(1).random((32, 32, 3)).astype(np.float32)
-    assert np.array_equal(unpatchify(patchify(img, 4), 4, 32), img)
+    assert np.array_equal(unpatchify(patchify_batch(img[None], 4)[0], 4, 32),
+                          img)
 
 
 def test_patchify_batch_matches_single():
