@@ -9,6 +9,7 @@ checkpoint, mid-epoch included, reproduces the continuous run bit-exactly.
 import json
 import os
 import time
+import zlib
 
 import numpy as np
 
@@ -71,6 +72,7 @@ class Trainer:
         self.global_iter = 0
         self.epochs_done = 0
         self.iters_done_in_epoch = 0   # steps already taken in epoch epochs_done
+        self.data_fingerprint = None   # set by `pretrain` from its dataset
 
     def _build_teachers(self, total_iters):
         """`self.teachers` maps each checkpoint prefix to its TeacherState:
@@ -97,7 +99,11 @@ class Trainer:
         if cfg.teacher_mode == TEACHER_SINGLE:
             self.t_rec, self.t_rec_encoder, self.t_cl_head = teacher(
                 cfg.ema_rec, self.pseudo_enabled)
-            self.t_cl, self.t_cl_encoder = self.t_rec, self.t_rec_encoder
+            # one teacher serves both streams; with no pseudo-label stream
+            # there is no t_cl, as in dual mode
+            self.t_cl, self.t_cl_encoder = (
+                (self.t_rec, self.t_rec_encoder) if self.pseudo_enabled
+                else (None, None))
             self.teachers = {"teacher_single": self.t_rec}
         else:
             self.t_rec, self.t_rec_encoder, _ = teacher(cfg.ema_rec, False)
@@ -268,7 +274,8 @@ class Trainer:
                 "t_rec_updates": self.t_rec.update_count,
                 "t_cl_updates": (self.t_cl.update_count
                                  if self.t_cl is not None else 0),
-                "iters_per_epoch": self.iters_per_epoch}
+                "iters_per_epoch": self.iters_per_epoch,
+                "data_fingerprint": self.data_fingerprint}
 
     def save(self, path):
         ckpt.save_checkpoint(path, self.cfg.to_json(), self.run_state(),
@@ -292,6 +299,7 @@ class Trainer:
         tr.epochs_done = state["epochs_done"]
         # checkpoints written before mid-epoch resume stopped on epoch ends
         tr.iters_done_in_epoch = state.get("iters_done_in_epoch", 0)
+        tr.data_fingerprint = state.get("data_fingerprint")
         tr.t_rec.update_count = state["t_rec_updates"]
         if tr.t_cl is not None:
             tr.t_cl.update_count = state["t_cl_updates"]
@@ -299,6 +307,13 @@ class Trainer:
 
 
 # -- the pretraining entry point ---------------------------------------------
+
+
+def _data_fingerprint(dataset):
+    """Record count plus a CRC-32 of the labels and then the images."""
+    crc = zlib.crc32(np.ascontiguousarray(dataset.labels))
+    return {"records": len(dataset),
+            "crc32": zlib.crc32(np.ascontiguousarray(dataset.images), crc)}
 
 
 def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
@@ -312,12 +327,20 @@ def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
         raise DataError(
             f"dataset of {len(dataset)} records is smaller than one batch "
             f"({config.optim.batch_size})")
+    fingerprint = _data_fingerprint(dataset)
     if resume:
         trainer = Trainer.load(resume)
         if trainer.cfg.to_json() != config.to_json():
             raise DataError("resume checkpoint was built with a different config")
+        # a checkpoint from before the fingerprint is checked on its
+        # iters_per_epoch alone
+        if (trainer.iters_per_epoch != iters_per_epoch
+                or trainer.data_fingerprint not in (None, fingerprint)):
+            raise DataError("resume dataset differs from the one the "
+                            "checkpoint was trained on")
     else:
         trainer = Trainer(config, iters_per_epoch=iters_per_epoch)
+    trainer.data_fingerprint = fingerprint
 
     metrics_path = os.path.join(out_dir, "metrics.csv")
     new_file = not (resume and os.path.exists(metrics_path))

@@ -8,6 +8,12 @@ original patch index, so a patch embeds identically no matter which other
 patches are visible.
 """
 
+import contextlib
+import ctypes
+import functools
+import glob
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,11 +22,27 @@ from .errors import ConfigError
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
                      layernorm, linear, records_tape)
 
-# A forward that records no tape runs in row blocks of at most this many
-# tokens, so each block's attention and MLP buffers stay near L2 size: a
-# 256-image full-token batch runs as eight 32-image blocks, while
-# training's teacher fold passes (128 images x 17 tokens) stay one block.
+# A forward that records no tape runs in row blocks, and the blocks in
+# flight together hold at most this many tokens, so their attention and MLP
+# buffers stay near L2 size: a 256-image full-token batch on two workers
+# runs as fifteen blocks of 17 or 18 images, while training's teacher fold
+# passes (128 images x 17 tokens) stay one block.
 INFER_BLOCK_TOKENS = 2304
+
+
+@functools.cache
+def _openblas():
+    """numpy's OpenBLAS thread-count (get, set) functions, or None."""
+    libdir = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for lib in glob.glob(os.path.join(libdir, "*openblas*")):
+        with contextlib.suppress(OSError, AttributeError):
+            so = ctypes.CDLL(lib)
+            get = so.scipy_openblas_get_num_threads64_
+            put = so.scipy_openblas_set_num_threads64_
+            get.argtypes, get.restype = [], ctypes.c_int
+            put.argtypes, put.restype = [ctypes.c_int], None
+            return get, put
+    return None
 
 
 @dataclass
@@ -223,10 +245,11 @@ class Encoder:
 
         Returns [B, T+1, D] with the class token at row 0. A call that
         records no tape (inside `no_grad()`, or a frozen teacher on plain
-        input) runs in row blocks of at most INFER_BLOCK_TOKENS tokens
-        written into one output; rows never interact, so the result is
-        the same. Training-mode calls are never split: stochastic depth
-        draws one mask per call.
+        input) and holds more than INFER_BLOCK_TOKENS tokens runs in row
+        blocks, one worker thread per OpenBLAS thread, written into one
+        output; rows never interact, so the result is the same.
+        Training-mode calls are never split: stochastic depth draws one
+        mask per call.
         """
         idx = np.asarray(patch_indices, dtype=np.intp)
         if idx.size and (idx.min() < 0 or idx.max() >= self.cfg.num_patches):
@@ -234,14 +257,31 @@ class Encoder:
         if not isinstance(patches, Tensor):
             patches = Tensor(patches)
         b = patches.shape[0]
-        n_blocks = -(-b * (idx.size + 1) // INFER_BLOCK_TOKENS)
-        if (n_blocks <= 1 or train
+        tokens = b * (idx.size + 1)
+        if (tokens <= INFER_BLOCK_TOKENS or train
                 or records_tape([patches, *self.params().values()])):
             return self._forward(patches, idx, train, rng)
         out = np.empty((b, idx.size + 1, self.cfg.embed_dim), np.float32)
-        for i in range(n_blocks):
+        blas = _openblas()
+        workers = blas[0]() if blas else 1
+        n_blocks = min(b, -(-tokens * workers // INFER_BLOCK_TOKENS))
+
+        def block(i):
             lo, hi = b * i // n_blocks, b * (i + 1) // n_blocks
             out[lo:hi] = self._forward(Tensor(patches.data[lo:hi]), idx).data
+
+        if workers == 1:
+            list(map(block, range(n_blocks)))
+            return Tensor(out)
+        # one BLAS thread per worker: OpenBLAS's own idle threads spin, so
+        # they would hold the cores the workers need
+        blas[1](1)
+        try:
+            # a raise cancels the unstarted blocks; exit waits for running ones
+            with ThreadPoolExecutor(workers) as pool:
+                list(pool.map(block, range(n_blocks)))
+        finally:
+            blas[1](workers)
         return Tensor(out)
 
     def _forward(self, patches, idx, train=False, rng=None):

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from dualmim.checkpoint import load_checkpoint, save_checkpoint
 from dualmim.cli import main
 from dualmim.data import write_cifar10
 
@@ -80,3 +81,35 @@ def test_malformed_data_exit_code_3(tmp_path):
 
 def test_missing_data_dir_required(tmp_path):
     assert main(["pretrain", "--out", str(tmp_path / "x")] + TINY) == 3
+
+
+def _resume_rejected(tmp_path, data_file, other_n, strip_fingerprint):
+    """Pretrain on `data_file`, then resume on another dataset of `other_n`
+    records: exit 3, and the checkpoint keeps its bytes."""
+    out = str(tmp_path / "run")
+    assert main(["pretrain", "--data-dir", data_file, "--out", out,
+                 "--max-iters", "2", "--seed", "5"] + TINY) == 0
+    ckpt = os.path.join(out, "checkpoint.bin")
+    if strip_fingerprint:   # as written before the fingerprint existed
+        config_json, state, records = load_checkpoint(ckpt)
+        del state["data_fingerprint"]
+        save_checkpoint(ckpt, config_json, state, records)
+    before = open(ckpt, "rb").read()
+    other = str(tmp_path / "other.bin")
+    assert main(["make-data", "--data-dir", other, "--n", str(other_n),
+                 "--seed", "4"]) == 0
+    assert main(["pretrain", "--data-dir", other, "--out", out,
+                 "--resume", ckpt, "--seed", "5"] + TINY) == 3
+    assert open(ckpt, "rb").read() == before
+
+
+def test_resume_on_different_dataset_exit_code_3(tmp_path, data_file):
+    # same record count, so the same iters_per_epoch: only the
+    # fingerprint tells the datasets apart
+    _resume_rejected(tmp_path, data_file, 64, strip_fingerprint=False)
+
+
+def test_resume_without_fingerprint_checks_iters_per_epoch(tmp_path,
+                                                           data_file):
+    # 48 records at batch 8 give 6 iterations an epoch, not 8
+    _resume_rejected(tmp_path, data_file, 48, strip_fingerprint=True)

@@ -167,6 +167,23 @@ def test_resume_config_mismatch_rejected(tmp_path, tiny_ds):
                  resume=os.path.join(out, "checkpoint.bin"))
 
 
+def test_single_teacher_without_pseudo_labels_logs_no_cl_momentum(
+        tmp_path, tiny_ds):
+    # with no pseudo-label stream there is no t_cl: single mode logs what
+    # dual mode logs, m_cl 0 included
+    runs = {}
+    for teacher_mode in ("dual", "single"):
+        cfg = _tiny_cfg(teacher_mode=teacher_mode,
+                        **{"loss.lambda_c": 0.0, "loss.lambda_p": 0.0})
+        out = str(tmp_path / teacher_mode)
+        pretrain(cfg, tiny_ds, out, max_iters=3)
+        runs[teacher_mode] = [r[:11] for r in _metrics_rows(out)]
+        _, state, _ = load_checkpoint(os.path.join(out, "checkpoint.bin"))
+        assert state["t_cl_updates"] == 0
+    assert runs["single"] == runs["dual"]
+    assert all(float(r[9]) == 0.0 for r in runs["single"])
+
+
 def test_teacher_update_strictly_after_optimizer(tiny_ds, monkeypatch):
     from dualmim.data import epoch_order
     maybe_update = ema_mod.maybe_update
@@ -355,24 +372,27 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_encode_features_row_blocks_match_unblocked(tiny_ds, monkeypatch):
+def test_encode_features_row_blocks_match_unblocked(tiny_ds, monkeypatch,
+                                                   fake_blas):
     cfg = _tiny_cfg()
     enc = Encoder(cfg.model, np.random.default_rng(6))
     whole = encode_features(enc, cfg.model, tiny_ds, batch_size=21)
-    # blocks of at most 3 images of 17 tokens: a 21-image batch runs as 7
-    # blocks, and the last batch holds one image
+    # two workers whose blocks in flight hold at most 3 images of 17
+    # tokens: a 21-image batch runs as 14 blocks, and the last batch holds
+    # one image
+    fake_blas(2)
     monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 3 * 17)
     calls = _count_calls(monkeypatch, Encoder, "__call__")
     blocks = _count_calls(monkeypatch, Encoder, "_forward")
     blocked = encode_features(enc, cfg.model, tiny_ds, batch_size=21)
     assert np.array_equal(blocked, whole)
     assert len(calls) == 4                  # one call per batch
-    assert len(blocks) == 3 * 7 + 1
+    assert len(blocks) == 3 * 14 + 1
 
 
 @pytest.mark.parametrize("batch", [1, 2, 7, 11])
 def test_teacher_encoder_row_blocks_match_unblocked(tiny_ds, monkeypatch,
-                                                    batch):
+                                                    fake_blas, batch):
     cfg = _tiny_cfg()
     trainer = Trainer(cfg)
     teacher, student = trainer.t_rec_encoder, trainer.encoder
@@ -381,16 +401,19 @@ def test_teacher_encoder_row_blocks_match_unblocked(tiny_ds, monkeypatch,
         (batch, 5, cfg.model.patch_size ** 2 * 3)).astype(np.float32)
     idx = rng.choice(cfg.model.num_patches, 5, replace=False)
     whole = teacher(patches, idx).data
-    # blocks of at most 3 images of 6 tokens, ragged for 7 and 11 images
+    # two workers whose blocks in flight hold at most 3 images of 6
+    # tokens, ragged for 7 and 11 images
+    fake_blas(2)
     monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 3 * 6)
     blocks = _count_calls(monkeypatch, Encoder, "_forward")
     out = teacher(patches, idx)
     assert not out.requires_grad
     assert np.array_equal(out.data, whole)
-    assert len(blocks) == -(-batch // 3)
+    n_blocks = min(batch, -(-batch * 2 // 3)) if batch > 3 else 1
+    assert len(blocks) == n_blocks
     # a student call records a tape, so it runs as one block
     taped = student(patches, idx)
-    assert taped.requires_grad and len(blocks) == -(-batch // 3) + 1
+    assert taped.requires_grad and len(blocks) == n_blocks + 1
     with no_grad():
         frozen = student(patches, idx)
     assert np.array_equal(frozen.data, taped.data)

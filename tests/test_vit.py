@@ -1,10 +1,16 @@
 """Model-component tests: patchify, encoder, decoder, projection head."""
 
-import numpy as np
+import sys
+import threading
+import time
 
+import numpy as np
+import pytest
+
+from dualmim import vit
 from dualmim.losses import cosine_recon_loss
 from dualmim.masking import gen_mask
-from dualmim.tensor import Tensor
+from dualmim.tensor import Tensor, no_grad
 from dualmim.vit import (Decoder, Encoder, ProjectionHead,
                          ProjectionHeadConfig, ViTConfig, patchify_batch)
 
@@ -84,6 +90,107 @@ def test_encoder_permutation_equivariance():
     # class token identical, patch rows permuted along with their indices
     assert np.allclose(out[:, 0], out_p[:, 0], atol=1e-5)
     assert np.allclose(out[:, 1:][:, perm], out_p[:, 1:], atol=1e-5)
+
+
+def _count_forward(monkeypatch):
+    calls = []
+    raw = Encoder._forward
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return raw(*args, **kwargs)
+
+    monkeypatch.setattr(Encoder, "_forward", counted)
+    return calls
+
+
+@pytest.mark.parametrize("threads", [None, 1, 2, 8])
+@pytest.mark.parametrize("batch,budget", [(1, 6), (7, 21), (11, 21)])
+def test_encoder_threaded_blocks_match_unblocked(fake_blas, monkeypatch,
+                                                threads, batch, budget):
+    enc = Encoder(_cfg(), np.random.default_rng(9))
+    rng = np.random.default_rng(batch)
+    patches = rng.standard_normal((batch, 6, 48)).astype(np.float32)
+    idx = rng.choice(16, 6, replace=False)
+    with no_grad():
+        whole = enc(patches, idx).data
+    # one image holds 7 tokens: a budget of 6 splits even B = 1, and one
+    # of 21 gives ragged blocks
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", budget)
+    blas = fake_blas(threads)
+    calls = _count_forward(monkeypatch)
+    # 8 workers are more than the cores; threads switch as often as they can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with no_grad():
+            out = enc(patches, idx).data
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(out, whole)
+    workers = threads or 1
+    assert len(calls) == min(batch, -(-batch * 7 * workers // budget))
+    # BLAS ran on one thread inside the call and is back where it was
+    assert blas.sets == ([1, workers] if workers > 1 else [])
+    assert blas.threads == threads
+
+
+def test_encoder_blocks_restore_real_blas_threads(monkeypatch):
+    real = vit._openblas()
+    before = real and real[0]()
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 7)
+    enc = Encoder(_cfg(), np.random.default_rng(2))
+    with no_grad():
+        enc(np.ones((4, 6, 48), np.float32), np.arange(6))
+    assert (real and real[0]()) == before
+
+
+def test_encoder_block_error_propagates_after_every_block(fake_blas,
+                                                         monkeypatch):
+    blas = fake_blas(2)
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 7)   # one image a block
+    raw = Encoder._forward
+    lock = threading.Lock()
+    active, started, done = [0], [], []
+
+    def flaky(self, patches, idx, *args, **kwargs):
+        with lock:
+            active[0] += 1
+            started.append(1)
+        try:
+            if patches.data[0, 0, 0] == 1e3:
+                raise RuntimeError("block failed")
+            time.sleep(0.02)
+            out = raw(self, patches, idx, *args, **kwargs)
+            done.append(1)
+            return out
+        finally:
+            with lock:
+                active[0] -= 1
+
+    monkeypatch.setattr(Encoder, "_forward", flaky)
+    patches = np.zeros((6, 6, 48), np.float32)
+    patches[1, 0, 0] = 1e3
+    enc = Encoder(_cfg(), np.random.default_rng(2))
+    with no_grad(), pytest.raises(RuntimeError, match="block failed"):
+        enc(patches, np.arange(6))
+    # blocks not yet started are cancelled; every started one has ended
+    assert active[0] == 0 and len(done) == len(started) - 1
+    assert blas.sets == [1, 2] and blas.threads == 2
+
+
+def test_encoder_within_budget_is_one_pass_without_blas_change(fake_blas,
+                                                              monkeypatch):
+    # a teacher fold pass: 128 images x 17 tokens <= INFER_BLOCK_TOKENS
+    blas = fake_blas(2)
+    calls = _count_forward(monkeypatch)
+    enc = Encoder(_cfg(), np.random.default_rng(4))
+    patches = np.random.default_rng(5).standard_normal(
+        (128, 16, 48)).astype(np.float32)
+    with no_grad():
+        enc(patches, np.arange(16))
+    assert 128 * 17 <= vit.INFER_BLOCK_TOKENS
+    assert len(calls) == 1 and blas.sets == []
 
 
 def test_decoder_output_shape():
