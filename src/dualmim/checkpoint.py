@@ -10,8 +10,8 @@ Layout (little-endian):
       u8 ndim, ndim x u32 dims
       float32 payload, row-major
 
-Record order is fixed by the model's parameter dicts, so
-save -> load -> save is byte-identical.
+Record order is fixed by the trainer's group table and the modules'
+attribute order, so save -> load -> save is byte-identical.
 """
 
 import json
@@ -83,9 +83,17 @@ def load_checkpoint(path):
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
     (clen,) = struct.unpack("<Q", take(8))
-    config_json = take(clen).decode("utf-8")
+    config_raw = take(clen)
     (slen,) = struct.unpack("<Q", take(8))
-    run_state = json.loads(take(slen).decode("utf-8"))
+    try:
+        config_json = config_raw.decode("utf-8")
+        json.loads(config_json)  # TrainConfig.from_json parses it again
+        run_state = json.loads(take(slen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise DataError(f"{path}: config or run state is not UTF-8 JSON: "
+                        f"{e}") from None
+    if not isinstance(run_state, dict):
+        raise DataError(f"{path}: run state is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     records = []
     for _ in range(count):
@@ -101,22 +109,24 @@ def load_checkpoint(path):
     return config_json, run_state, records
 
 
-def restore_into(records, named_tensors, prefix):
-    """Copy checkpoint records with `prefix` into matching tensors.
+def restore_into(records, named, prefix):
+    """Copy checkpoint records with `prefix` into the matching Tensors or
+    arrays of `named`.
 
     Every name under the prefix must exist with an identical shape.
     """
     got = {name[len(prefix):]: arr for name, arr in records
            if name.startswith(prefix)}
-    missing = set(named_tensors) - set(got)
-    extra = set(got) - set(named_tensors)
+    missing = set(named) - set(got)
+    extra = set(got) - set(named)
     if missing or extra:
         raise DataError(
             f"checkpoint/model mismatch under '{prefix}': "
             f"missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
-    for name, t in named_tensors.items():
-        if got[name].shape != t.data.shape:
+    for name, t in named.items():
+        arr = t if isinstance(t, np.ndarray) else t.data
+        if got[name].shape != arr.shape:
             raise DataError(
                 f"checkpoint shape mismatch at '{prefix}{name}': "
-                f"{got[name].shape} vs model {t.data.shape}")
-        t.data[...] = got[name]
+                f"{got[name].shape} vs model {arr.shape}")
+        arr[...] = got[name]

@@ -41,12 +41,14 @@ def momentum_at(schedule, t):
 class TeacherState:
     """Frozen parameter snapshot with its EMA schedule and update counter.
 
-    `params` are the teacher's own tensors (typically owned by a module
-    mirror of the student so the teacher can run forward passes); they are
-    initialized as an exact copy of the student and never require grad.
+    `params` are the teacher's own tensors (typically those of `encoder`
+    and `head`, the student's mirrors that run its forward passes); they
+    are initialized as an exact copy of the student and never require grad.
     """
 
-    def __init__(self, params, schedule, init_from=None):
+    def __init__(self, params, schedule, init_from=None, encoder=None,
+                 head=None):
+        self.encoder, self.head = encoder, head
         self.schedule = schedule
         self.update_count = 0
         self.params = params

@@ -197,15 +197,6 @@ class Tensor:
     def sqrt(self):
         return self ** 0.5
 
-    def exp(self):
-        a = self
-        out_data = np.exp(a.data)
-
-        def bwd(g):
-            a._accumulate(g * out_data)
-
-        return self._result(out_data, (a,), "exp", bwd)
-
     def log(self):
         a = self
 

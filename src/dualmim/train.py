@@ -23,7 +23,7 @@ from .errors import DataError, NumericError
 from .masking import gen_mask, split_folds
 from .optim import AdamW, lr_at
 from .tensor import Tensor, concat, no_grad
-from .vit import Decoder, Encoder, ProjectionHead, patchify_batch
+from .vit import Decoder, Encoder, Module, ProjectionHead, patchify_batch
 
 METRICS_HEADER = ("epoch,iter,loss_m,loss_c,loss_p,total,"
                   "patch_entropy,class_entropy,m_rec,m_cl,lr,seconds")
@@ -53,12 +53,8 @@ class Trainer:
         self.head = (ProjectionHead(config.head, init_rng, config.model.embed_dim)
                      if self.pseudo_enabled else None)
 
-        self.student_params = {}
-        for prefix, mod in (("encoder", self.encoder), ("decoder", self.decoder),
-                            ("head", self.head)):
-            if mod is not None:
-                for k, v in mod.params().items():
-                    self.student_params[f"{prefix}.{k}"] = v
+        self.student_params = Module(encoder=self.encoder, decoder=self.decoder,
+                                     head=self.head).params()
 
         total_iters = config.optim.total_epochs * iters_per_epoch
         self._build_teachers(total_iters)
@@ -75,44 +71,36 @@ class Trainer:
         self.data_fingerprint = None   # set by `pretrain` from its dataset
 
     def _build_teachers(self, total_iters):
-        """`self.teachers` maps each checkpoint prefix to its TeacherState:
-        `teacher_single`, or `teacher_rec` plus `teacher_cl` when the
-        pseudo-label losses are on."""
+        """`self.teachers` maps each checkpoint prefix to its TeacherState
+        (with its encoder and head): `teacher_single`, or `teacher_rec` plus
+        `teacher_cl` when the pseudo-label losses are on. The first serves
+        the reconstruction stream, the last the pseudo-label one."""
         cfg = self.cfg
         throwaway = np.random.default_rng(0)
 
         def teacher(e, with_head):
             enc = Encoder(cfg.model, throwaway)
-            params = {f"encoder.{k}": v for k, v in enc.params().items()}
-            head = None
-            if with_head:
-                head = ProjectionHead(cfg.head, throwaway, cfg.model.embed_dim)
-                params |= {f"head.{k}": v for k, v in head.params().items()}
+            head = (ProjectionHead(cfg.head, throwaway, cfg.model.embed_dim)
+                    if with_head else None)
             total = (total_iters if e.frequency == ema_mod.PER_ITERATION
                      else cfg.optim.total_epochs)
             schedule = ema_mod.EmaSchedule(e.start_momentum, e.end_momentum,
                                            e.frequency, total)
-            return (ema_mod.TeacherState(params, schedule,
-                                         init_from=self.student_params),
-                    enc, head)
+            return ema_mod.TeacherState(
+                Module(encoder=enc, head=head).params(), schedule,
+                init_from=self.student_params, encoder=enc, head=head)
 
         if cfg.teacher_mode == TEACHER_SINGLE:
-            self.t_rec, self.t_rec_encoder, self.t_cl_head = teacher(
-                cfg.ema_rec, self.pseudo_enabled)
-            # one teacher serves both streams; with no pseudo-label stream
-            # there is no t_cl, as in dual mode
-            self.t_cl, self.t_cl_encoder = (
-                (self.t_rec, self.t_rec_encoder) if self.pseudo_enabled
-                else (None, None))
-            self.teachers = {"teacher_single": self.t_rec}
+            # one teacher serves both streams
+            self.teachers = {"teacher_single": teacher(cfg.ema_rec,
+                                                       self.pseudo_enabled)}
         else:
-            self.t_rec, self.t_rec_encoder, _ = teacher(cfg.ema_rec, False)
-            self.teachers = {"teacher_rec": self.t_rec}
-            self.t_cl = self.t_cl_encoder = self.t_cl_head = None
+            self.teachers = {"teacher_rec": teacher(cfg.ema_rec, False)}
             if self.pseudo_enabled:
-                self.t_cl, self.t_cl_encoder, self.t_cl_head = teacher(
-                    cfg.ema_cl, True)
-                self.teachers["teacher_cl"] = self.t_cl
+                self.teachers["teacher_cl"] = teacher(cfg.ema_cl, True)
+        roles = list(self.teachers.values())
+        self.t_rec = roles[0]
+        self.t_cl = roles[-1] if self.pseudo_enabled else None
 
     # -- forward pieces -----------------------------------------------------
 
@@ -212,15 +200,15 @@ class Trainer:
         rec_tokens = assignments = teacher_feats = None
         if cfg.loss.lambda_m > 0:
             rec_tokens, _, _ = self._teacher_fold_tokens(
-                self.t_rec_encoder, patchify_batch(batch.simple, p), folds)
+                self.t_rec.encoder, patchify_batch(batch.simple, p), folds)
         if self.pseudo_enabled:
             pseudo_folds = (folds if cfg.multifold_pseudo_labeling
                             else folds.reshape(1, -1))
             view = (batch.complex if cfg.augmentation_mode == "dual"
                     else batch.simple)
-            head = self.t_cl_head
+            head = self.t_cl.head
             teacher_feats, cls_feats, patch_feats = self._teacher_fold_tokens(
-                self.t_cl_encoder, patchify_batch(view, p), pseudo_folds, head)
+                self.t_cl.encoder, patchify_batch(view, p), pseudo_folds, head)
             # Sinkhorn forms the scores against the prototypes into its output
             sk = cfg.sinkhorn
             assignments = pl.teacher_targets(
@@ -258,13 +246,14 @@ class Trainer:
 
     # -- persistence --------------------------------------------------------
 
-    def _records(self):
-        recs = [(f"student.{k}", p.data) for k, p in self.student_params.items()]
-        for prefix, st in self.teachers.items():
-            recs += [(f"{prefix}.{k}", p.data) for k, p in st.params.items()]
-        recs += [(f"adamw.m.{k}", v) for k, v in self.optimizer.m.items()]
-        recs += [(f"adamw.v.{k}", v) for k, v in self.optimizer.v.items()]
-        return recs
+    def _groups(self):
+        """The checkpoint's record groups in record order, prefix -> {name:
+        array}: the student, each teacher, then AdamW's two moments."""
+        tensors = {"student.": self.student_params} | {
+            f"{prefix}.": st.params for prefix, st in self.teachers.items()}
+        return {prefix: {k: p.data for k, p in params.items()}
+                for prefix, params in tensors.items()} | {
+            "adamw.m.": self.optimizer.m, "adamw.v.": self.optimizer.v}
 
     def run_state(self):
         return {"epochs_done": self.epochs_done,
@@ -278,31 +267,33 @@ class Trainer:
                 "data_fingerprint": self.data_fingerprint}
 
     def save(self, path):
+        records = [(prefix + k, v) for prefix, group in self._groups().items()
+                   for k, v in group.items()]
         ckpt.save_checkpoint(path, self.cfg.to_json(), self.run_state(),
-                             self._records())
+                             records)
 
     @classmethod
     def load(cls, path):
         config_json, state, records = ckpt.load_checkpoint(path)
+
+        def need(key):
+            if key not in state:
+                raise DataError(f"{path}: run state has no '{key}'")
+            return state[key]
+
         cfg = TrainConfig.from_json(config_json)
-        tr = cls(cfg, iters_per_epoch=state["iters_per_epoch"])
-        ckpt.restore_into(records, tr.student_params, "student.")
-        for prefix, st in tr.teachers.items():
-            ckpt.restore_into(records, st.params, f"{prefix}.")
-        m = {n: t for n, t in records if n.startswith("adamw.m.")}
-        v = {n: t for n, t in records if n.startswith("adamw.v.")}
-        for k in tr.optimizer.m:
-            tr.optimizer.m[k] = m[f"adamw.m.{k}"]
-            tr.optimizer.v[k] = v[f"adamw.v.{k}"]
-        tr.optimizer.step_count = state["adamw_step"]
-        tr.global_iter = state["global_iter"]
-        tr.epochs_done = state["epochs_done"]
+        tr = cls(cfg, iters_per_epoch=need("iters_per_epoch"))
+        for prefix, group in tr._groups().items():
+            ckpt.restore_into(records, group, prefix)
+        tr.optimizer.step_count = need("adamw_step")
+        tr.global_iter = need("global_iter")
+        tr.epochs_done = need("epochs_done")
         # checkpoints written before mid-epoch resume stopped on epoch ends
         tr.iters_done_in_epoch = state.get("iters_done_in_epoch", 0)
         tr.data_fingerprint = state.get("data_fingerprint")
-        tr.t_rec.update_count = state["t_rec_updates"]
+        tr.t_rec.update_count = need("t_rec_updates")
         if tr.t_cl is not None:
-            tr.t_cl.update_count = state["t_cl_updates"]
+            tr.t_cl.update_count = need("t_cl_updates")
         return tr
 
 

@@ -129,7 +129,30 @@ def trunc_normal(rng, shape, std=0.02):
     return np.clip(rng.normal(0.0, std, size=shape), -2 * std, 2 * std).astype(np.float32)
 
 
-class Linear:
+class Module:
+    """A node of the parameter tree; `Module(**children)` groups modules.
+    Attribute assignment order is parameter order, and so checkpoint record
+    order: reordering an `__init__` breaks old checkpoints."""
+
+    def __init__(self, **children):
+        vars(self).update(children)
+
+    def params(self):
+        """Dotted name -> Tensor for each Tensor attribute, Module attribute
+        and list of them, in attribute order; None and the rest are skipped."""
+        out = {}
+        for name, value in vars(self).items():
+            entries = ([(f"{name}.{i}", v) for i, v in enumerate(value)]
+                       if isinstance(value, list) else [(name, value)])
+            for key, v in entries:
+                if isinstance(v, Tensor):
+                    out[key] = v
+                elif isinstance(v, Module):
+                    out |= {f"{key}.{k}": t for k, t in v.params().items()}
+        return out
+
+
+class Linear(Module):
     def __init__(self, rng, d_in, d_out, bias=True):
         self.w = Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True)
         self.b = Tensor(np.zeros(d_out, np.float32), requires_grad=True) if bias else None
@@ -137,14 +160,8 @@ class Linear:
     def __call__(self, x):
         return linear(x, self.w, self.b)
 
-    def params(self):
-        out = {"w": self.w}
-        if self.b is not None:
-            out["b"] = self.b
-        return out
 
-
-class LayerNorm:
+class LayerNorm(Module):
     def __init__(self, dim, eps=1e-6):
         self.gamma = Tensor(np.ones(dim, np.float32), requires_grad=True)
         self.beta = Tensor(np.zeros(dim, np.float32), requires_grad=True)
@@ -153,11 +170,8 @@ class LayerNorm:
     def __call__(self, x):
         return layernorm(x, self.gamma, self.beta, self.eps)
 
-    def params(self):
-        return {"gamma": self.gamma, "beta": self.beta}
 
-
-class Attention:
+class Attention(Module):
     def __init__(self, rng, dim, num_heads):
         self.num_heads = num_heads
         self.wq = Linear(rng, dim, dim)
@@ -169,13 +183,8 @@ class Attention:
         return self.proj(attention(self.wq(x), self.wk(x), self.wv(x),
                                    self.num_heads))
 
-    def params(self):
-        return {f"{n}.{k}": v for n, m in
-                [("wq", self.wq), ("wk", self.wk), ("wv", self.wv), ("proj", self.proj)]
-                for k, v in m.params().items()}
 
-
-class Mlp:
+class Mlp(Module):
     def __init__(self, rng, dim, hidden):
         self.fc1 = Linear(rng, dim, hidden)
         self.fc2 = Linear(rng, hidden, dim)
@@ -183,12 +192,8 @@ class Mlp:
     def __call__(self, x):
         return self.fc2(gelu(self.fc1(x)))
 
-    def params(self):
-        return {f"fc1.{k}": v for k, v in self.fc1.params().items()} | \
-               {f"fc2.{k}": v for k, v in self.fc2.params().items()}
 
-
-class Block:
+class Block(Module):
     """Pre-norm transformer block with optional stochastic depth."""
 
     def __init__(self, rng, dim, num_heads, mlp_ratio, drop_path=0.0):
@@ -217,16 +222,8 @@ class Block:
             x = x + (r if scale is None else r * Tensor(scale))
         return x
 
-    def params(self):
-        out = {}
-        for name, mod in [("norm1", self.norm1), ("attn", self.attn),
-                          ("norm2", self.norm2), ("mlp", self.mlp)]:
-            for k, v in mod.params().items():
-                out[f"{name}.{k}"] = v
-        return out
 
-
-class Encoder:
+class Encoder(Module):
     """Sparse ViT encoder: embeds only the tokens it is given."""
 
     def __init__(self, cfg, rng):
@@ -301,18 +298,8 @@ class Encoder:
             out = out + extra
         return self.norm(out)
 
-    def params(self):
-        out = {"patch_embed.w": self.patch_embed.w, "patch_embed.b": self.patch_embed.b,
-               "cls_token": self.cls_token}
-        for i, blk in enumerate(self.blocks):
-            for k, v in blk.params().items():
-                out[f"blocks.{i}.{k}"] = v
-        for k, v in self.norm.params().items():
-            out[f"norm.{k}"] = v
-        return out
 
-
-class Decoder:
+class Decoder(Module):
     """MAE-style decoder: reinserts a learned mask token at masked positions
     and projects back to the encoder embedding dimension."""
 
@@ -358,20 +345,8 @@ class Decoder:
             x = blk(x)
         return self.pred(self.norm(x))
 
-    def params(self):
-        out = {"embed.w": self.embed.w, "embed.b": self.embed.b,
-               "mask_token": self.mask_token}
-        for i, blk in enumerate(self.blocks):
-            for k, v in blk.params().items():
-                out[f"blocks.{i}.{k}"] = v
-        for k, v in self.norm.params().items():
-            out[f"norm.{k}"] = v
-        out["pred.w"] = self.pred.w
-        out["pred.b"] = self.pred.b
-        return out
 
-
-class ProjectionHead:
+class ProjectionHead(Module):
     """Shared MLP trunk, then separate prototype matrices for class and
     patch tokens. The call returns the L2-normalized trunk features; the
     scores against the prototypes are formed by their consumer (the
@@ -408,12 +383,3 @@ class ProjectionHead:
         feats = self.trunk(tokens)
         cls_feat = feats.take(np.array([0]), axis=1).reshape((b, -1))
         return cls_feat, feats.take(np.arange(1, t), axis=1)
-
-    def params(self):
-        out = {}
-        for i, layer in enumerate(self.shared):
-            for k, v in layer.params().items():
-                out[f"shared.{i}.{k}"] = v
-        out["class_out.w"] = self.class_out.w
-        out["patch_out.w"] = self.patch_out.w
-        return out

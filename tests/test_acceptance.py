@@ -19,8 +19,7 @@ from dualmim.config import TrainConfig
 from dualmim.data import (load_cifar10, make_batch, make_synthetic_cifar,
                           epoch_order, write_cifar10)
 from dualmim.errors import DataError
-from dualmim.gradcheck import (adamw_convergence, composed_setup, max_violation,
-                               op_suite, tiny_config)
+from dualmim.gradcheck import adamw_convergence, max_violation, op_suite
 from dualmim.masking import gen_mask, split_folds, validate_masking
 from dualmim.errors import ConfigError
 from dualmim.optim import AdamW, lr_at
@@ -29,6 +28,7 @@ from dualmim.train import Trainer, linear_probe, pretrain
 from dualmim.vit import patchify_batch
 
 from f64_oracle import OracleLoss, oracle_finite_diff
+from tiny_model import composed_setup, tiny_config
 
 
 def _verdict(n, ok, detail):

@@ -1,6 +1,8 @@
 """CLI surface tests: subcommands, overrides, exit codes."""
 
 import os
+import shutil
+import struct
 
 import numpy as np
 import pytest
@@ -113,3 +115,61 @@ def test_resume_without_fingerprint_checks_iters_per_epoch(tmp_path,
                                                            data_file):
     # 48 records at batch 8 give 6 iterations an epoch, not 8
     _resume_rejected(tmp_path, data_file, 48, strip_fingerprint=True)
+
+
+def _rewrite(edit):
+    """A corruption that rewrites (run state, records) through the format."""
+    def corrupt(path):
+        config_json, state, records = load_checkpoint(path)
+        save_checkpoint(path, config_json, *edit(state, records))
+    return corrupt
+
+
+def _first_byte(blob, value):
+    """A corruption that overwrites the first byte of the config or
+    run-state JSON in place."""
+    def corrupt(path):
+        raw = bytearray(open(path, "rb").read())
+        (clen,) = struct.unpack_from("<Q", raw, 12)  # after magic, version
+        raw[20 if blob == "config" else 28 + clen] = value
+        open(path, "wb").write(raw)
+    return corrupt
+
+
+_MALFORMED = {
+    "adamw_record_missing": _rewrite(lambda state, records: (state, [
+        r for r in records if r[0] != "adamw.m.encoder.cls_token"])),
+    "adamw_record_extra": _rewrite(lambda state, records: (state, records + [
+        ("adamw.v.encoder.extra", np.zeros(1, np.float32))])),
+    "adamw_record_shape": _rewrite(lambda state, records: (state, [
+        (n, np.zeros(1, np.float32) if n == "adamw.v.decoder.pred.b" else a)
+        for n, a in records])),
+    "run_state_key_missing": _rewrite(lambda state, records: (
+        {k: v for k, v in state.items() if k != "adamw_step"}, records)),
+    "run_state_not_object": _rewrite(lambda state, records: ([1], records)),
+    "run_state_not_json": _first_byte("state", ord("x")),
+    "config_not_json": _first_byte("config", ord("x")),
+    "config_not_utf8": _first_byte("config", 0xFF),
+}
+
+
+@pytest.fixture(scope="module")
+def pristine_checkpoint(tmp_path_factory, data_file):
+    out = str(tmp_path_factory.mktemp("pristine") / "run")
+    assert main(["pretrain", "--data-dir", data_file, "--out", out,
+                 "--max-iters", "2", "--seed", "5"] + TINY) == 0
+    return os.path.join(out, "checkpoint.bin")
+
+
+@pytest.mark.parametrize("fault", list(_MALFORMED))
+def test_malformed_checkpoint_exit_code_3(tmp_path, data_file,
+                                          pristine_checkpoint, fault):
+    """A resume from a malformed checkpoint exits 3, not with a traceback
+    or a failure later in the run, and leaves the checkpoint's bytes."""
+    ckpt = str(tmp_path / "checkpoint.bin")
+    shutil.copy(pristine_checkpoint, ckpt)
+    _MALFORMED[fault](ckpt)
+    before = open(ckpt, "rb").read()
+    assert main(["pretrain", "--data-dir", data_file, "--out", str(tmp_path),
+                 "--resume", ckpt, "--seed", "5"] + TINY) == 3
+    assert open(ckpt, "rb").read() == before

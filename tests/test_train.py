@@ -13,11 +13,12 @@ from dualmim.config import TrainConfig
 from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
                           make_synthetic_cifar, standardize)
 from dualmim.errors import DataError
-from dualmim.gradcheck import tiny_config
 from dualmim.tensor import Tensor, no_grad
 from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
                            export_metrics, knn_eval, linear_probe, pretrain)
 from dualmim.vit import Encoder, patchify_batch
+
+from tiny_model import tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -143,6 +144,43 @@ def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, mode, stop_at):
               for name, _ in records]
     assert list(dict.fromkeys(groups)) == prefixes
     assert groups == sorted(groups, key=prefixes.index)
+
+
+# One transformer block's parameters, in record order.
+_BLOCK_NAMES = ["norm1.gamma", "norm1.beta",
+                "attn.wq.w", "attn.wq.b", "attn.wk.w", "attn.wk.b",
+                "attn.wv.w", "attn.wv.b", "attn.proj.w", "attn.proj.b",
+                "norm2.gamma", "norm2.beta",
+                "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b"]
+
+
+def _blocks(n):
+    return [f"blocks.{i}.{name}" for i in range(n) for name in _BLOCK_NAMES]
+
+
+def test_checkpoint_record_names_exact(tmp_path):
+    """The parameter walker takes names and order from attribute order;
+    these are the record names checkpoints have always had, so reordering
+    a module's attributes fails here instead of breaking old checkpoints."""
+    encoder = (["patch_embed.w", "patch_embed.b", "cls_token"] + _blocks(2)
+               + ["norm.gamma", "norm.beta"])
+    decoder = (["embed.w", "embed.b", "mask_token"] + _blocks(1)
+               + ["norm.gamma", "norm.beta", "pred.w", "pred.b"])
+    head = ["shared.0.w", "shared.0.b", "shared.1.w", "shared.1.b",
+            "class_out.w", "patch_out.w"]
+    student = ([f"encoder.{n}" for n in encoder]
+               + [f"decoder.{n}" for n in decoder]
+               + [f"head.{n}" for n in head])
+    expected = ([f"student.{n}" for n in student]
+                + [f"teacher_rec.encoder.{n}" for n in encoder]
+                + [f"teacher_cl.encoder.{n}" for n in encoder]
+                + [f"teacher_cl.head.{n}" for n in head]
+                + [f"adamw.m.{n}" for n in student]
+                + [f"adamw.v.{n}" for n in student])
+    path = str(tmp_path / "checkpoint.bin")
+    Trainer(tiny_config()).save(path)
+    _, _, records = load_checkpoint(path)
+    assert [name for name, _ in records] == expected
 
 
 def test_resume_state_without_in_epoch_iteration(tmp_path, tiny_ds):
@@ -395,7 +433,7 @@ def test_teacher_encoder_row_blocks_match_unblocked(tiny_ds, monkeypatch,
                                                     fake_blas, batch):
     cfg = _tiny_cfg()
     trainer = Trainer(cfg)
-    teacher, student = trainer.t_rec_encoder, trainer.encoder
+    teacher, student = trainer.t_rec.encoder, trainer.encoder
     rng = np.random.default_rng(batch)
     patches = rng.standard_normal(
         (batch, 5, cfg.model.patch_size ** 2 * 3)).astype(np.float32)
