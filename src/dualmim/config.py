@@ -16,6 +16,7 @@ from .ema import PER_EPOCH, PER_ITERATION, EmaSchedule
 from .errors import ConfigError
 from .losses import LossWeights
 from .masking import validate_masking
+from .pseudolabel import TEMPERATURE_FLOOR
 from .vit import ProjectionHeadConfig, ViTConfig
 
 TEACHER_DUAL = "dual"
@@ -94,9 +95,10 @@ class TrainConfig:
         for lam in (self.loss.lambda_m, self.loss.lambda_c, self.loss.lambda_p):
             if lam < 0:
                 raise ConfigError("loss weights must be nonnegative")
-        if self.sinkhorn.teacher_temperature <= 0 or \
-                self.sinkhorn.student_temperature <= 0:
-            raise ConfigError("temperatures must be positive")
+        if self.sinkhorn.teacher_temperature < TEMPERATURE_FLOOR:
+            raise ConfigError(f"teacher_temperature must be >= {TEMPERATURE_FLOOR}")
+        if self.sinkhorn.student_temperature <= 0:
+            raise ConfigError("student_temperature must be positive")
         if self.sinkhorn.n_iters < 1:
             raise ConfigError("sinkhorn n_iters must be >= 1")
         if self.optim.total_epochs < 1 or self.optim.batch_size < 1:

@@ -10,15 +10,14 @@ teacher patch across all folds before the patch loss is applied.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import entr
 
 from .tensor import softmax
 
-# A row whose max is this many temperatures below the global max is
-# exponentiated against its own max: exp(-64) is still a normal float32.
-ROW_SHIFT_T = 64.0
-_F32_TINY = float(np.finfo(np.float32).tiny)
-_F32_MAX = float(np.finfo(np.float32).max)
+# Scores of unit features against prototype columns of norm at most 1 lie
+# in [-1, 1]: at T >= TEMPERATURE_FLOOR they span at most 80 temperatures.
+# Sinkhorn rejects a span over SPREAD_T; exp(-84) is still a normal float32.
+TEMPERATURE_FLOOR = 0.025
+SPREAD_T = 84.0
 
 
 @dataclass
@@ -41,29 +40,18 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     (each column sums to B/K_c) and row normalization (each row sums to 1)
     for `n_iters` rounds, ending on the row step. The rounds only update
     the scaling vectors u (rows) and v (columns) of Q = diag(u) E diag(v),
-    with E = exp(logits - shift) formed once in float32 and u, v kept in
-    float64. The scores are formed straight into `out` (allocated if not
-    given), which becomes E and then Q; they are never kept.
-
-    The shift is the global max, except on a row whose max sits more than
-    ROW_SHIFT_T temperatures below it: that row is shifted by its own max,
-    so it keeps a 1 and cannot underflow, and the starting u absorbs the
-    difference exactly. A column whose every entry underflows gets zero
-    mass. The mean row entropy is read off log Q = logits - shift + log u
-    + log v: with unit rows, H_i = -(sum_j q_ij (logit_ij - shift_i) +
-    log u_i + sum_j q_ij log v_j), where a zero-mass column adds nothing
-    and sum_j q_ij s_ij = f_i . (q_i W^T) needs no scores.
-
-    If a float32 copy of u, v or of the next column sums would overflow
-    (scores spanning hundreds of temperatures), log v is folded into the
-    exponent: E = exp(s / T - c) is formed again in float64 with the
-    column offsets c (a zero-mass column gets c = inf and stays empty) and
-    its rows normalized there, which is the row step and takes the place
-    of log u; the rounds go on from u = v = 1. Inputs that never fold keep
-    the scaling-vector result.
+    with E = exp((s - top) / T) formed once in float32 against the global
+    max `top`, and u, v kept in float64. The scores are formed straight
+    into `out` (allocated if not given), which becomes E and then Q; they
+    are never kept. The mean row entropy is read off log Q = (s - top) / T
+    + log u + log v: with unit rows, H_i = -(sum_j q_ij (s_ij - top) / T +
+    log u_i + sum_j q_ij log v_j), where sum_j q_ij s_ij = f_i . (q_i W^T)
+    needs no scores.
 
     Returns (Q [B, K_c] float32, mean row entropy in nats). Non-finite
-    inputs, or scores that overflow float32, raise ValueError.
+    inputs, scores that overflow float32, or a row or column whose max
+    sits more than SPREAD_T temperatures below the top score raise
+    ValueError.
     """
     f = np.asarray(feats, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -76,43 +64,22 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     if not np.isfinite(row_max).all():
         raise ValueError("sinkhorn_normalize requires finite scores")
     top = row_max.max()
-    shift = np.where(row_max < top - ROW_SHIFT_T * temperature, row_max, top)
-    q -= shift[:, None]
+    if min(row_max.min(), q.max(axis=0).min()) < top - SPREAD_T * temperature:
+        raise ValueError(f"sinkhorn_normalize: scores span more than "
+                         f"{SPREAD_T:g} temperatures")
+    q -= top
     q *= np.float32(1.0 / temperature)
     np.exp(q, out=q)    # E
-    u = np.exp((shift.astype(np.float64) - top) / temperature)
-    c = None    # column offsets folded into the exponent, float64
+    u = np.ones(b)
     for _ in range(n_iters):
         # float32 GEMVs over E (no float64 copy), float64 scaling vectors
-        col = (u.astype(np.float32) @ q).astype(np.float64)
-        v = np.divide(b / kc, col, out=np.zeros(kc), where=col >= _F32_TINY)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
-        # E <= 1, so the next column sums are at most sum(u)
-        if v.max() <= _F32_MAX and u.min() > 0.0 and u.sum() <= _F32_MAX:
-            continue
-        c = (0.0 if c is None else c) - np.log(v, out=np.full(kc, -np.inf),
-                                               where=v > 0)
-        x = np.matmul(f, w, out=q).astype(np.float64)
-        x /= temperature
-        x -= c      # c_j = inf: the column stays empty
-        x -= x.max(axis=1, keepdims=True)
-        np.exp(x, out=x)
-        x /= x.sum(axis=1, keepdims=True)
-        q[...] = x
-        u, v = np.ones(b), np.ones(kc)
-    v32 = v.astype(np.float32)
-    if c is not None:
-        # after a fold log E is no longer (s - shift) / T: read
-        # sum_j q_ij log E_ij off E itself
-        lin = -u * (entr(q) @ v32)
-    q *= v32
+        v = (b / kc) / (u.astype(np.float32) @ q).astype(np.float64)
+        u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
+    q *= v.astype(np.float32)
     q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
-    if c is None:
-        # sum_j q_ij (s_ij - shift_i) / T, with s_i = f_i W
-        lin = (np.einsum("ij,ij->i", q @ w.T, f) - shift) / temperature
-    log_v = np.log(v, out=np.zeros(kc), where=v > 0)
-    ent = -(lin + np.log(u) + q @ log_v.astype(np.float32))
+    # sum_j q_ij (s_ij - top) / T, with s_i = f_i W
+    lin = (np.einsum("ij,ij->i", q @ w.T, f) - top) / temperature
+    ent = -(lin + np.log(u) + q @ np.log(v).astype(np.float32))
     return q, float(ent.mean())
 
 
@@ -175,4 +142,5 @@ def nearest_patch_match_batch(student_feats, teacher_fold_feats):
 def mean_row_entropy(rows):
     """Mean Shannon entropy (nats) of probability rows; collapse diagnostic."""
     p = np.asarray(rows, dtype=np.float32)
-    return float(entr(p).sum(axis=-1).mean())
+    log_p = np.log(p, out=np.zeros_like(p), where=p > 0)
+    return float(-(p * log_p).sum(axis=-1).mean())

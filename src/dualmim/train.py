@@ -227,7 +227,15 @@ class Trainer:
                    cfg.optim.lr)
         if report.total_tensor.requires_grad:
             report.total_tensor.backward()
+            # a non-finite gradient stops the run before it reaches the weights
+            sq = sum(float(np.vdot(p.grad, p.grad)) for p in
+                     self.student_params.values() if p.grad is not None)
+            if not np.isfinite(sq):
+                raise NumericError(f"non-finite gradient at iteration "
+                                   f"{self.global_iter}")
             self.optimizer.step(lr)
+            if self.head is not None:
+                self.head.normalize_prototypes()
         # the total holds the whole tape; drop it before the next step
         report.total_tensor = None
         # teacher EMA strictly after the optimizer step
@@ -283,7 +291,11 @@ class Trainer:
 
         cfg = TrainConfig.from_json(config_json)
         tr = cls(cfg, iters_per_epoch=need("iters_per_epoch"))
-        for prefix, group in tr._groups().items():
+        groups = tr._groups()
+        stray = [n for n, _ in records if not n.startswith(tuple(groups))]
+        if stray:
+            raise DataError(f"{path}: stray checkpoint records {stray[:3]}")
+        for prefix, group in groups.items():
             ckpt.restore_into(records, group, prefix)
         tr.optimizer.step_count = need("adamw_step")
         tr.global_iter = need("global_iter")

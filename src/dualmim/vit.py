@@ -360,12 +360,14 @@ class ProjectionHead(Module):
                        for i in range(cfg.num_shared_layers)]
         self.class_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
         self.patch_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
-        # unit-norm prototype vectors: with the L2-normalized trunk feature
-        # this makes each score a cosine similarity per prototype, so the
-        # tempered score distribution has usable spread from step one
+        self.normalize_prototypes()
+
+    def normalize_prototypes(self):
+        """Scale each prototype column to unit norm, in place (at init and
+        after every optimizer step): every score is then a cosine."""
         for layer in (self.class_out, self.patch_out):
             w = layer.w.data
-            w /= np.linalg.norm(w, axis=0, keepdims=True)
+            w /= np.sqrt(np.einsum("ij,ij->j", w, w))
 
     def trunk(self, x):
         for layer in self.shared:

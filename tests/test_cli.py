@@ -3,13 +3,18 @@
 import os
 import shutil
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import dualmim
 from dualmim.checkpoint import load_checkpoint, save_checkpoint
 from dualmim.cli import main
 from dualmim.data import write_cifar10
+from dualmim.tensor import Tensor
+from dualmim.train import Trainer
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +61,13 @@ def test_config_error_exit_code_2(tmp_path, data_file):
     rc = main(["pretrain", "--data-dir", data_file,
                "--out", str(tmp_path / "x"),
                "--masking.num_folds", "5"])  # 48 masked, not divisible
+    assert rc == 2
+
+
+def test_teacher_temperature_below_floor_exit_code_2(tmp_path, data_file):
+    rc = main(["pretrain", "--data-dir", data_file,
+               "--out", str(tmp_path / "x"),
+               "--sinkhorn.teacher_temperature", "0.02"] + TINY)
     assert rc == 2
 
 
@@ -144,6 +156,11 @@ _MALFORMED = {
     "adamw_record_shape": _rewrite(lambda state, records: (state, [
         (n, np.zeros(1, np.float32) if n == "adamw.v.decoder.pred.b" else a)
         for n, a in records])),
+    "stray_record": _rewrite(lambda state, records: (state, records + [
+        ("bogus", np.zeros(1, np.float32))])),
+    "other_teacher_record": _rewrite(lambda state, records: (state, records + [
+        ("teacher_single.encoder.cls_token", np.zeros((1, 1, 8), np.float32))
+    ])),
     "run_state_key_missing": _rewrite(lambda state, records: (
         {k: v for k, v in state.items() if k != "adamw_step"}, records)),
     "run_state_not_object": _rewrite(lambda state, records: ([1], records)),
@@ -173,3 +190,52 @@ def test_malformed_checkpoint_exit_code_3(tmp_path, data_file,
     assert main(["pretrain", "--data-dir", data_file, "--out", str(tmp_path),
                  "--resume", ckpt, "--seed", "5"] + TINY) == 3
     assert open(ckpt, "rb").read() == before
+
+
+@pytest.mark.parametrize("overrides", [
+    pytest.param([], id="pseudo"),
+    pytest.param(["--loss.lambda_c", "0", "--loss.lambda_p", "0"],
+                 id="recon")])
+def test_non_finite_gradient_exit_code_4(tmp_path, data_file, monkeypatch,
+                                         overrides):
+    """A NaN gradient behind a finite loss stops the run before AdamW
+    steps: exit 4, and the abort checkpoint holds the weights from before
+    that step, which are those a clean run saves one step earlier."""
+    args = (["pretrain", "--data-dir", data_file, "--seed", "5"] + TINY
+            + overrides)
+    clean = str(tmp_path / "clean")
+    assert main(args + ["--out", clean, "--max-iters", "1"]) == 0
+
+    trainers = []
+    compute_loss, backward = Trainer.compute_loss, Tensor.backward
+
+    def spy_loss(self, *a, **kw):
+        trainers.append(self)
+        return compute_loss(self, *a, **kw)
+
+    def poisoned_backward(self):
+        backward(self)
+        if len(trainers) == 2:   # the second step
+            p = trainers[-1].student_params["encoder.cls_token"]
+            p.grad = np.full_like(p.grad, np.nan)
+
+    monkeypatch.setattr(Trainer, "compute_loss", spy_loss)
+    monkeypatch.setattr(Tensor, "backward", poisoned_backward)
+    run = str(tmp_path / "run")
+    assert main(args + ["--out", run, "--max-iters", "2"]) == 4
+    _, _, aborted = load_checkpoint(os.path.join(run, "checkpoint.abort.bin"))
+    _, _, expected = load_checkpoint(os.path.join(clean, "checkpoint.bin"))
+    assert [n for n, _ in aborted] == [n for n, _ in expected]
+    for (name, a), (_, b) in zip(aborted, expected):
+        assert np.array_equal(a, b), name
+
+
+def test_cli_import_loads_no_scipy():
+    """scipy is a test oracle only: the runtime never imports it."""
+    src = os.path.dirname(os.path.dirname(dualmim.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    code = ("import sys, dualmim.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "[]"

@@ -76,3 +76,12 @@ def test_model_divisibility_rejected():
         load_config(None, {"model.image_size": "30"})
     with pytest.raises(ConfigError):
         load_config(None, {"model.embed_dim": "65"})
+
+
+def test_teacher_temperature_floor():
+    cfg = TrainConfig()
+    cfg.sinkhorn.teacher_temperature = 0.025
+    cfg.validate()
+    cfg.sinkhorn.teacher_temperature = 0.02
+    with pytest.raises(ConfigError, match="teacher_temperature"):
+        cfg.validate()

@@ -4,8 +4,10 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter1d
 
-from dualmim.data import (AugmentConfig, RECORD_BYTES, complex_augment,
+from dualmim.data import (AugmentConfig, RECORD_BYTES, _gaussian_blur,
+                          complex_augment,
                           epoch_order, load_cifar10, make_batch,
                           make_synthetic_cifar, simple_augment, solarize,
                           standardize, write_cifar10)
@@ -97,6 +99,21 @@ def test_complex_augment_degenerates_to_simple():
     a = simple_augment(img, np.random.default_rng(8), cfg)
     b = complex_augment(img, np.random.default_rng(8), cfg)
     assert np.array_equal(a, b)
+
+
+def test_gaussian_blur_matches_scipy():
+    # scipy's separable filter with edge padding and truncate=4.0 is the
+    # oracle; sigmas past the default range give kernels wider than the
+    # image, whose taps clamp at both edges
+    rng = np.random.default_rng(20)
+    for sigma in np.concatenate([rng.uniform(0.1, 2.0, 40),
+                                 rng.uniform(2.0, 10.0, 10)]):
+        img = rng.random((32, 32, 3)).astype(np.float32)
+        ref = gaussian_filter1d(img, sigma, axis=0, mode="nearest")
+        ref = gaussian_filter1d(ref, sigma, axis=1, mode="nearest")
+        out = _gaussian_blur(img, sigma)
+        assert out.dtype == np.float32 and out.shape == img.shape
+        assert np.abs(out - ref).max() < 1e-6
 
 
 def test_grayscale_channels_identical():

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.special import logsumexp
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
-from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match_batch,
+from dualmim.pseudolabel import (TEMPERATURE_FLOOR, mean_row_entropy,
+                                 nearest_patch_match_batch,
                                  sinkhorn_normalize, student_assign,
                                  teacher_targets)
 from dualmim.tensor import Tensor
@@ -127,41 +129,31 @@ def test_sinkhorn_in_pass_entropy_matches_rows():
 
 
 def test_sinkhorn_overflowing_scaling_vectors_fold_into_exponent():
-    # scores spanning hundreds of temperatures: against the global max
-    # most columns underflow and get zero mass, and the float32 copies of
-    # the scaling vectors overflow, so log v folds into the exponent
+    # scores spanning hundreds of temperatures, which unit features and
+    # prototypes of norm at most 1 cannot produce above the temperature
+    # floor: rejected up front instead of folded into the exponent
     rng = np.random.default_rng(17)
     for shape, std, temp in (((256, 512), 5.0, 0.02),
                              ((64, 64), 10.0, 0.01)):
         scores = (std * rng.standard_normal(shape)).astype(np.float32)
-        q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
-        assert np.isfinite(q).all() and np.isfinite(entropy)
-        assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
-        assert abs(entropy - mean_row_entropy(q)) < 1e-5
-        # the live columns are Sinkhorn of the matrix without the dead ones
-        live = q.any(axis=0)
-        assert np.abs(q[:, live] - _log_sinkhorn_oracle(
-            scores[:, live], temp, 3)).max() < 1e-6
+        with pytest.raises(ValueError, match="temperatures"):
+            sinkhorn_normalize(scores, _eye(scores), 3, temp)
 
 
 def test_sinkhorn_fold_keeps_a_faint_column_alive():
-    # one entry of column 2 sits 86 temperatures below the global max, the
-    # rest underflow: the column keeps its mass, but with B / K_c >= 64
-    # its v overflows float32, and the fold gives the log-domain result
-    # where the scaling vectors alone gave NaN. The live entry is a normal
-    # float32 (an E entry below float32 tiny carries too few bits for a
-    # 1e-6 comparison, fold or not)
+    # column 2 sits 200 temperatures below the global max but for one
+    # entry at 86: its max is beyond SPREAD_T, so the input is rejected.
+    # [512, 4] at T = 0.1 is where a column this far down lost precision
+    # in v without the rejection: its E entries sit near float32 tiny
     rng = np.random.default_rng(18)
-    for b, kc, temp in ((256, 4, 0.05), (1024, 16, 0.1)):
+    for b, kc, temp in ((256, 4, 0.05), (1024, 16, 0.1), (512, 4, 0.1)):
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
         top = scores.max()
         scores[:, 2] = top - 200 * temp
         scores[int(rng.integers(b)), 2] = top - 86 * temp
         for iters in (1, 3, 5):
-            q, entropy = sinkhorn_normalize(scores, _eye(scores), iters, temp)
-            assert np.abs(q - _log_sinkhorn_oracle(scores, temp,
-                                                   iters)).max() < 1e-6
-            assert abs(entropy - mean_row_entropy(q)) < 1e-5
+            with pytest.raises(ValueError, match="temperatures"):
+                sinkhorn_normalize(scores, _eye(scores), iters, temp)
 
 
 def test_sinkhorn_writes_into_out():
@@ -175,30 +167,76 @@ def test_sinkhorn_writes_into_out():
 
 
 def test_sinkhorn_underflowed_column_gets_zero_mass():
+    # a column whose exp underflows in every row is rejected, not given
+    # zero mass
     rng = np.random.default_rng(14)
     temp = 0.1
     scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
     scores[:, 2] = scores.min() - 100 * temp    # exp underflows in every row
-    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
-    assert np.isfinite(q).all() and np.isfinite(entropy)
-    assert not q[:, 2].any()
-    assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-6
-    assert abs(entropy - mean_row_entropy(q)) < 1e-5
-    # the live columns are Sinkhorn of the matrix without the dead one
-    live = np.delete(scores, 2, axis=1)
-    assert np.abs(np.delete(q, 2, axis=1)
-                  - _sinkhorn_oracle(live, temp, 3)).max() < 1e-6
+    with pytest.raises(ValueError, match="temperatures"):
+        sinkhorn_normalize(scores, _eye(scores), 3, temp)
 
 
 def test_sinkhorn_row_far_below_stays_finite():
+    # a row far below the global max is rejected, not shifted by its own max
     rng = np.random.default_rng(15)
     temp = 0.1
     scores = rng.uniform(-1.0, 1.0, (16, 6)).astype(np.float32)
     scores[5] -= 120 * temp     # under a global shift this row underflows
-    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, temp)
-    assert np.isfinite(q).all() and np.isfinite(entropy)
-    assert np.abs(q - _sinkhorn_oracle(scores, temp, 3)).max() < 1e-6
+    with pytest.raises(ValueError, match="temperatures"):
+        sinkhorn_normalize(scores, _eye(scores), 3, temp)
+
+
+def test_sinkhorn_accepts_the_full_unit_spread():
+    # every score in [-1, 1] at the temperature floor spans 80
+    # temperatures: a column that scores -1 in every row stays in range
+    b, kc = 64, 8
+    feats = np.ones((b, 1), np.float32)
+    weight = np.ones((1, kc), np.float32)
+    weight[0, 3] = -1.0
+    q, entropy = sinkhorn_normalize(feats, weight, 3, TEMPERATURE_FLOOR)
+    scores = feats @ weight
+    assert np.abs(q - _log_sinkhorn_oracle(scores, TEMPERATURE_FLOOR,
+                                           3)).max() < 1e-6
     assert abs(entropy - mean_row_entropy(q)) < 1e-5
+
+
+def _unit_bounded_scores(rng, b, kc, h, extreme):
+    """Unit feature rows and prototype columns of norm at most 1. With
+    `extreme`, both are signed one-hot vectors, so every score is exactly
+    -1, 0 or 1 (with h = 1, a column can score -1 in every row)."""
+    if extreme:
+        feats = np.zeros((b, h), np.float32)
+        feats[np.arange(b), rng.integers(h, size=b)] = rng.choice([-1, 1], b)
+        weight = np.zeros((h, kc), np.float32)
+        weight[rng.integers(h, size=kc), np.arange(kc)] = rng.choice([-1, 1],
+                                                                     kc)
+        return feats, weight
+    feats = rng.standard_normal((b, h)).astype(np.float32)
+    feats /= np.linalg.norm(feats, axis=1, keepdims=True)
+    weight = rng.standard_normal((h, kc)).astype(np.float32)
+    weight *= (rng.uniform(0.0, 1.0, kc)
+               / np.linalg.norm(weight, axis=0)).astype(np.float32)
+    return feats, weight
+
+
+@settings(derandomize=True, max_examples=60, deadline=10000, database=None)
+@given(b=st.integers(1, 300), kc=st.integers(2, 600), h=st.integers(1, 16),
+       temp=st.floats(TEMPERATURE_FLOOR, 1.0), iters=st.integers(1, 5),
+       extreme=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_sinkhorn_unit_bounded_scores_properties(b, kc, h, temp, iters,
+                                                 extreme, seed):
+    """Scores of unit features against prototypes of norm at most 1, at
+    any temperature from the floor up: the kernel never raises, rows sum
+    to 1, Q matches the log-domain oracle and the in-pass entropy matches
+    the rows, with E spanning exp(-80) to 1 at the +-1 extremes."""
+    feats, weight = _unit_bounded_scores(np.random.default_rng(seed), b, kc,
+                                         h, extreme)
+    q, entropy = sinkhorn_normalize(feats, weight, iters, temp)
+    assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
+    oracle = _log_sinkhorn_oracle(feats @ weight, temp, iters)
+    assert np.abs(q - oracle).max() < 2e-6
+    assert abs(entropy - mean_row_entropy(q)) < 5e-5
 
 
 @pytest.mark.filterwarnings("error")

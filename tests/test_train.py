@@ -244,6 +244,26 @@ def test_teacher_update_strictly_after_optimizer(tiny_ds, monkeypatch):
         assert updated == list(trainer.teachers.values())
 
 
+@pytest.mark.parametrize("teacher_mode", ["dual", "single"])
+def test_prototype_columns_stay_unit(tiny_ds, teacher_mode):
+    """After every step the student's prototype columns are unit; the
+    pseudo-labeling teacher's, EMAs of unit columns, are at most unit."""
+    from dualmim.data import epoch_order
+    cfg = _tiny_cfg(teacher_mode=teacher_mode)
+    trainer = Trainer(cfg, iters_per_epoch=len(tiny_ds) // 8)
+    order = epoch_order(len(tiny_ds), cfg.seed, 0)
+    for it in range(len(tiny_ds) // 8):
+        batch = make_batch(tiny_ds, order[it * 8:(it + 1) * 8], cfg.seed, 0,
+                           cfg.augment)
+        trainer.train_step(batch, 0, it, at_epoch_end=(it == 7))
+        for name in ("class_out", "patch_out"):
+            for head, unit in ((trainer.head, True),
+                               (trainer.t_cl.head, False)):
+                norms = np.linalg.norm(getattr(head, name).w.data, axis=0)
+                assert norms.max() <= 1.0 + 1e-6
+                assert not unit or norms.min() >= 1.0 - 1e-6
+
+
 def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
     cfg = _tiny_cfg()
     trainer = Trainer(cfg, iters_per_epoch=len(tiny_ds) // 8)
