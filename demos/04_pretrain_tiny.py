@@ -2,7 +2,7 @@
 
 Generates a small synthetic dataset, pretrains a tiny dual-teacher model for
 two epochs, then evaluates the frozen class-token features with a linear
-probe and a kNN classifier. Runs in about a minute on a laptop CPU. The same
+probe and a kNN classifier. Runs in a few seconds on a laptop CPU. The same
 flow is available from the command line:
 
     dualmim make-data --data-dir /tmp/demo.bin --n 512

@@ -4,8 +4,8 @@ Record format (bit-exact CIFAR-10 binary): 3073 bytes per record, one
 label byte (< 10) followed by 1024 R, 1024 G, 1024 B bytes, row-major
 within each channel plane.
 
-Two views per image: `simple_augment` (crop + flip) feeds the student and
-the reconstruction teacher; `complex_augment` (adds color jitter,
+Two views per image: the simple view (crop + flip) feeds the student and
+the reconstruction teacher; the complex view (adds color jitter,
 grayscale, blur, solarization) feeds the pseudo-labeling teacher. Both
 views of one step always come from the same source image.
 """
@@ -123,23 +123,12 @@ def make_synthetic_cifar(path, n, seed, noise=0.35):
     write_cifar10(path, labels, images)
 
 
-# -- augmentation primitives -----------------------------------------------
+# -- augmentation stages: each acts on a whole [n, S, S, 3] batch ---------------
 
-def _resize_bilinear(img, out_h, out_w):
-    h, w = img.shape[:2]
-    ys = (np.arange(out_h, dtype=np.float64) + 0.5) * h / out_h - 0.5
-    xs = (np.arange(out_w, dtype=np.float64) + 0.5) * w / out_w - 0.5
-    y0 = np.clip(np.floor(ys), 0, h - 1).astype(np.intp)
-    x0 = np.clip(np.floor(xs), 0, w - 1).astype(np.intp)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = np.clip(ys - y0, 0.0, 1.0)[:, None, None]
-    wx = np.clip(xs - x0, 0.0, 1.0)[None, :, None]
-    a = img[y0][:, x0] * (1 - wy) * (1 - wx)
-    b = img[y0][:, x1] * (1 - wy) * wx
-    c = img[y1][:, x0] * wy * (1 - wx)
-    d = img[y1][:, x1] * wy * wx
-    return (a + b + c + d).astype(np.float32)
+GRAY = np.array([0.299, 0.587, 0.114], np.float32)
+# _hsv_to_rgb's channel sources by hue sector, as indices into (v, q, p, t)
+HSV_SECTORS = np.array([[0, 3, 2], [1, 0, 2], [2, 0, 3],
+                        [2, 1, 0], [3, 2, 0], [0, 2, 1]])
 
 
 def _draw_crop(rng, h, w, scale, ratio):
@@ -157,24 +146,40 @@ def _draw_crop(rng, h, w, scale, ratio):
     return 0, 0, h, w
 
 
-def _crop_flip(img, rng, cfg):
-    h, w = img.shape[:2]
-    top, left, ch, cw = _draw_crop(rng, h, w, cfg.crop_scale, cfg.crop_ratio)
-    view = img[top:top + ch, left:left + cw]
-    if (ch, cw) != (h, w):
-        view = _resize_bilinear(view, h, w)
-    else:
-        view = view.astype(np.float32)
-    if rng.random() < cfg.flip_prob:
-        view = view[:, ::-1]
-    return np.ascontiguousarray(view)
+def _resample_matrix(start, length, size):
+    """[n, size, size] bilinear weights that resize source pixels
+    start..start+length-1 to `size` outputs, half-pixel centred, with taps
+    clamped to the crop's edge."""
+    length = length[:, None]
+    pos = (np.arange(size, dtype=np.float64) + 0.5) * length / size - 0.5
+    lo = np.clip(np.floor(pos), 0, length - 1).astype(np.intp)
+    hi = np.minimum(lo + 1, length - 1)
+    frac = np.clip(pos - lo, 0.0, 1.0)
+    img, out = np.indices(lo.shape)
+    m = np.zeros((len(lo), size, size))
+    m[img, out, start[:, None] + lo] = 1 - frac
+    m[img, out, start[:, None] + hi] += frac
+    return m
+
+
+def _crop_resize_flip(imgs, boxes, flips):
+    """Crop each image to its (top, left, h, w) box, resize it back to full
+    size and mirror it where `flips` is set, as one separable bilinear
+    resample per image: rows @ plane @ cols^T in float64, then float32. A
+    full-image box gives identity matrices, so it is exact."""
+    size = imgs.shape[1]
+    rows = _resample_matrix(boxes[:, 0], boxes[:, 2], size)
+    cols = _resample_matrix(boxes[:, 1], boxes[:, 3], size)
+    cols[flips] = cols[flips, ::-1]
+    planes = rows[:, None] @ imgs.transpose(0, 3, 1, 2) @ cols.swapaxes(1, 2)[:, None]
+    return np.ascontiguousarray(planes.transpose(0, 2, 3, 1), np.float32)
 
 
 def _rgb_to_hsv(rgb):
-    mx = rgb.max(axis=-1)
-    mn = rgb.min(axis=-1)
-    diff = mx - mn
     r, g, b = rgb[..., 0], rgb[..., 1], rgb[..., 2]
+    mx = np.maximum(np.maximum(r, g), b)   # a max over the last axis is slower
+    mn = np.minimum(np.minimum(r, g), b)
+    diff = mx - mn
     safe = np.where(diff == 0, 1.0, diff)
     h = np.where(mx == r, (g - b) / safe % 6.0,
                  np.where(mx == g, (b - r) / safe + 2.0, (r - g) / safe + 4.0))
@@ -185,47 +190,39 @@ def _rgb_to_hsv(rgb):
 
 def _hsv_to_rgb(h, s, v):
     h6 = (h % 1.0) * 6.0
-    i = np.floor(h6).astype(int) % 6
+    sector = np.floor(h6).astype(np.int8) % 6
     f = h6 - np.floor(h6)
-    p, q, t = v * (1 - s), v * (1 - s * f), v * (1 - s * (1 - f))
-    choices = [np.stack(x, axis=-1) for x in
-               [(v, t, p), (q, v, p), (p, v, t), (p, q, v), (t, p, v), (v, p, q)]]
-    out = np.zeros(h.shape + (3,), dtype=np.float32)
-    for k, c in enumerate(choices):
-        out[i == k] = c[i == k]
-    return out
+    vqpt = np.stack([v, v * (1 - s * f), v * (1 - s), v * (1 - s * (1 - f))], -1)
+    return np.take_along_axis(vqpt, HSV_SECTORS[sector], -1).astype(np.float32)
 
 
-def _color_jitter(img, rng, cfg):
-    # torchvision-style factor draws, applied in a fixed order
-    img = img * rng.uniform(1 - cfg.brightness, 1 + cfg.brightness)
-    mean = img.mean()
-    img = mean + (img - mean) * rng.uniform(1 - cfg.contrast, 1 + cfg.contrast)
-    gray = img @ np.array([0.299, 0.587, 0.114], np.float32)
-    img = gray[..., None] + (img - gray[..., None]) * rng.uniform(
-        1 - cfg.saturation, 1 + cfg.saturation)
-    img = np.clip(img, 0.0, 1.0)
-    h, s, v = _rgb_to_hsv(img)
-    h = (h + rng.uniform(-cfg.hue, cfg.hue)) % 1.0
-    return _hsv_to_rgb(h, s, v)
+def _color_jitter(imgs, factors):
+    """torchvision-style jitter, in a fixed order, by each image's float32
+    (brightness, contrast, saturation, hue) row of `factors`; a float32
+    factor rounds each product as a Python-float scalar does."""
+    bright, contrast, sat, hue = factors.T[:, :, None, None, None]
+    imgs = imgs * bright
+    mean = imgs.mean(axis=(1, 2, 3), keepdims=True)
+    imgs = mean + (imgs - mean) * contrast
+    gray = (imgs @ GRAY)[..., None]
+    h, s, v = _rgb_to_hsv(np.clip(gray + (imgs - gray) * sat, 0.0, 1.0))
+    return _hsv_to_rgb(h + hue[..., 0], s, v)   # wraps the hue mod 1
 
 
-def _grayscale(img):
-    gray = img @ np.array([0.299, 0.587, 0.114], np.float32)
-    return np.repeat(gray[..., None], 3, axis=-1)
-
-
-def _gaussian_blur(img, sigma):
-    """Separable Gaussian blur of a square [S, S, C] image by one [S, S]
-    matrix per axis, radius int(4 sigma + 0.5); taps past an edge land on
-    the edge pixel, as in scipy.ndimage's mode="nearest"."""
-    size, radius = img.shape[0], int(4.0 * sigma + 0.5)
-    offsets = np.arange(-radius, radius + 1)
-    taps = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+def _gaussian_blur(imgs, sigmas):
+    """Separable Gaussian blur of each square [S, S, C] image by its own
+    [S, S] matrix per axis, radius int(4 sigma + 0.5); taps past an edge
+    land on the edge pixel, as in scipy.ndimage's mode="nearest"."""
+    n, size, _, c = imgs.shape
     rows = np.arange(size)[:, None]
-    m = np.zeros((size, size), np.float32)
-    np.add.at(m, (rows, np.clip(rows + offsets, 0, size - 1)), taps / taps.sum())
-    return m @ (m @ img.reshape(size, -1)).reshape(img.shape)
+    m = np.zeros((n, size, size), np.float32)
+    for m_i, sigma in zip(m, sigmas):
+        radius = int(4.0 * sigma + 0.5)
+        offsets = np.arange(-radius, radius + 1)
+        taps = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+        np.add.at(m_i, (rows, np.clip(rows + offsets, 0, size - 1)),
+                  taps / taps.sum())
+    return m[:, None] @ (m @ imgs.reshape(n, size, size * c)).reshape(imgs.shape)
 
 
 def solarize(img, threshold):
@@ -239,30 +236,40 @@ def standardize(img, cfg):
     return (img - mean) / std
 
 
-# -- the two pipelines -------------------------------------------------------
+# -- the two views: per-record draws, then whole-batch stages ---------------------
 
-def simple_augment(image, rng, cfg=None):
-    """Crop + flip + standardize. `image` is [32, 32, 3] float in [0, 1]."""
-    cfg = cfg or AugmentConfig()
-    return standardize(_crop_flip(image, rng, cfg), cfg)
+def _draw_view(rng, cfg, extras):
+    """One record's parameters for one view, drawn from its stream in a
+    fixed order: crop box, flip, then (`extras`: the complex view) each
+    gate whose probability is > 0, each followed by its values. One row:
+    top, left, height, width, flip, jitter gate, brightness, contrast,
+    saturation, hue, grayscale, blur gate, sigma, solarize (0 when off)."""
+    row = [*_draw_crop(rng, *IMAGE_SHAPE[:2], cfg.crop_scale, cfg.crop_ratio),
+           rng.random() < cfg.flip_prob]
+
+    def gate(prob, *ranges):
+        on = extras and prob > 0 and rng.random() < prob
+        row.extend([on] + [rng.uniform(*r) if on else 0.0 for r in ranges])
+    gate(cfg.jitter_prob, (1 - cfg.brightness, 1 + cfg.brightness),
+         (1 - cfg.contrast, 1 + cfg.contrast),
+         (1 - cfg.saturation, 1 + cfg.saturation), (-cfg.hue, cfg.hue))
+    gate(cfg.grayscale_prob)
+    gate(cfg.blur_prob, cfg.blur_sigma)
+    gate(cfg.solarize_prob)
+    return row
 
 
-def complex_augment(image, rng, cfg=None):
-    """Crop + flip + jitter + grayscale + blur + solarize + standardize.
-
-    The crop/flip draws come first, in the same order as simple_augment,
-    so forcing every extra probability to 0 reproduces it exactly.
-    """
-    cfg = cfg or AugmentConfig()
-    view = _crop_flip(image, rng, cfg)
-    if cfg.jitter_prob > 0 and rng.random() < cfg.jitter_prob:
-        view = _color_jitter(view, rng, cfg)
-    if cfg.grayscale_prob > 0 and rng.random() < cfg.grayscale_prob:
-        view = _grayscale(view)
-    if cfg.blur_prob > 0 and rng.random() < cfg.blur_prob:
-        view = _gaussian_blur(view, rng.uniform(*cfg.blur_sigma))
-    if cfg.solarize_prob > 0 and rng.random() < cfg.solarize_prob:
-        view = solarize(view, cfg.solarize_threshold)
+def _augment_view(imgs, params, cfg):
+    """Apply every record's `_draw_view` row to the whole batch, stage by
+    stage; each extra stage runs on the rows whose gate is on."""
+    p = np.array(params, np.float64)
+    view = _crop_resize_flip(imgs, p[:, :4].astype(np.intp), p[:, 4] > 0)
+    jitter, gray, blur, solar = (np.flatnonzero(p[:, k]) for k in (5, 10, 11, 13))
+    view[jitter] = _color_jitter(view[jitter],
+                                 p[jitter, 6:10].astype(np.float32))
+    view[gray] = (view[gray] @ GRAY)[..., None]
+    view[blur] = _gaussian_blur(view[blur], p[blur, 12])
+    view[solar] = solarize(view[solar], cfg.solarize_threshold)
     return standardize(view, cfg)
 
 
@@ -289,15 +296,19 @@ class Batch:
 
 
 def make_batch(dataset, indices, seed, epoch, cfg=None, need_complex=True):
-    """Augment the named records into one training batch, deterministically."""
+    """Augment the named records into one training batch, deterministically.
+
+    Each record's view v (0 simple, 1 complex) draws its parameters from
+    `record_rng(seed, epoch, record, v)`, so a row depends only on its
+    record, never on the batch around it; then each stage runs batched.
+    """
     cfg = cfg or AugmentConfig()
-    simple = np.empty((len(indices), 32, 32, 3), np.float32)
-    comp = np.empty_like(simple) if need_complex else None
-    for row, idx in enumerate(indices):
-        img = dataset.images[idx].astype(np.float32) / 255.0
-        simple[row] = simple_augment(img, record_rng(seed, epoch, idx, 0), cfg)
-        if need_complex:
-            comp[row] = complex_augment(img, record_rng(seed, epoch, idx, 1), cfg)
-    return Batch(simple=simple, complex=comp,
-                 labels=dataset.labels[np.asarray(indices)],
-                 record_indices=np.asarray(indices))
+    indices = np.asarray(indices)
+    imgs = dataset.images[indices].astype(np.float32) / 255.0
+
+    def view(v):
+        params = [_draw_view(record_rng(seed, epoch, i, v), cfg, v == 1)
+                  for i in indices]
+        return _augment_view(imgs, params, cfg)
+    return Batch(simple=view(0), complex=view(1) if need_complex else None,
+                 labels=dataset.labels[indices], record_indices=indices)

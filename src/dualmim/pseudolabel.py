@@ -49,9 +49,9 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     needs no scores.
 
     Returns (Q [B, K_c] float32, mean row entropy in nats). Non-finite
-    inputs, scores that overflow float32, or a row or column whose max
-    sits more than SPREAD_T temperatures below the top score raise
-    ValueError.
+    inputs, scores that overflow float32, a row or column whose max sits
+    more than SPREAD_T temperatures below the top score, or a scaling
+    vector past float32's range raise ValueError.
     """
     f = np.asarray(feats, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
@@ -73,14 +73,21 @@ def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
     u = np.ones(b)
     for _ in range(n_iters):
         # float32 GEMVs over E (no float64 copy), float64 scaling vectors
-        v = (b / kc) / (u.astype(np.float32) @ q).astype(np.float64)
-        u = 1.0 / (q @ v.astype(np.float32)).astype(np.float64)
+        v = _float32_range((b / kc) / (u.astype(np.float32) @ q).astype(np.float64))
+        u = _float32_range(1.0 / (q @ v.astype(np.float32)).astype(np.float64))
     q *= v.astype(np.float32)
     q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
     # sum_j q_ij (s_ij - top) / T, with s_i = f_i W
     lin = (np.einsum("ij,ij->i", q @ w.T, f) - top) / temperature
     ent = -(lin + np.log(u) + q @ np.log(v).astype(np.float32))
     return q, float(ent.mean())
+
+
+def _float32_range(x):
+    """`x` itself; raises ValueError if an entry would overflow float32."""
+    if not (x <= np.finfo(np.float32).max).all():
+        raise ValueError("sinkhorn_normalize: a scaling vector overflows float32")
+    return x
 
 
 def student_assign(scores, temperature):

@@ -6,12 +6,18 @@ import numpy as np
 import pytest
 from scipy.ndimage import gaussian_filter1d
 
+from augment_oracle import complex_augment, simple_augment
 from dualmim.data import (AugmentConfig, RECORD_BYTES, _gaussian_blur,
-                          complex_augment,
                           epoch_order, load_cifar10, make_batch,
-                          make_synthetic_cifar, simple_augment, solarize,
+                          make_synthetic_cifar, record_rng, solarize,
                           standardize, write_cifar10)
 from dualmim.errors import DataError
+
+# every extra stage of the complex view off, or forced on
+NO_EXTRAS = dict(jitter_prob=0.0, grayscale_prob=0.0, blur_prob=0.0,
+                 solarize_prob=0.0)
+ALL_EXTRAS = dict(jitter_prob=1.0, grayscale_prob=1.0, blur_prob=1.0,
+                  solarize_prob=1.0)
 
 
 def _fixture(tmp_path, n=4, seed=0):
@@ -104,16 +110,18 @@ def test_complex_augment_degenerates_to_simple():
 def test_gaussian_blur_matches_scipy():
     # scipy's separable filter with edge padding and truncate=4.0 is the
     # oracle; sigmas past the default range give kernels wider than the
-    # image, whose taps clamp at both edges
+    # image, whose taps clamp at both edges. One batch holds all 50 images
+    # (the same draws as 50 single-image draws), each with its own sigma
     rng = np.random.default_rng(20)
-    for sigma in np.concatenate([rng.uniform(0.1, 2.0, 40),
-                                 rng.uniform(2.0, 10.0, 10)]):
-        img = rng.random((32, 32, 3)).astype(np.float32)
+    sigmas = np.concatenate([rng.uniform(0.1, 2.0, 40),
+                             rng.uniform(2.0, 10.0, 10)])
+    imgs = rng.random((50, 32, 32, 3)).astype(np.float32)
+    out = _gaussian_blur(imgs, sigmas)
+    assert out.dtype == np.float32 and out.shape == imgs.shape
+    for img, sigma, blurred in zip(imgs, sigmas, out):
         ref = gaussian_filter1d(img, sigma, axis=0, mode="nearest")
         ref = gaussian_filter1d(ref, sigma, axis=1, mode="nearest")
-        out = _gaussian_blur(img, sigma)
-        assert out.dtype == np.float32 and out.shape == img.shape
-        assert np.abs(out - ref).max() < 1e-6
+        assert np.abs(blurred - ref).max() < 1e-6
 
 
 def test_grayscale_channels_identical():
@@ -164,3 +172,52 @@ def test_make_batch_shapes_and_determinism(tmp_path):
     c = make_batch(ds, idx, seed=0, epoch=0, need_complex=False)
     assert c.complex is None
     assert np.array_equal(c.simple, a.simple)
+
+
+@pytest.mark.parametrize("extras", [
+    {}, NO_EXTRAS, ALL_EXTRAS, dict(jitter_prob=1.0), dict(grayscale_prob=1.0),
+    dict(blur_prob=1.0), dict(solarize_prob=1.0),
+    dict(crop_scale=(1.0, 1.0), crop_ratio=(1.0, 1.0))],
+    ids=["default", "none", "all", "jitter", "grayscale", "blur", "solarize",
+         "full_crop"])
+def test_make_batch_matches_per_image_oracle(tmp_path, extras):
+    # both views, bit for bit, against the per-image pipelines run on each
+    # record's own streams
+    path = str(tmp_path / "syn.bin")
+    make_synthetic_cifar(path, 64, seed=3)
+    ds = load_cifar10(path)
+    cfg = AugmentConfig(**extras)
+    for epoch in (0, 1):
+        idx = epoch_order(64, 5, epoch)[:40]
+        batch = make_batch(ds, idx, 5, epoch, cfg)
+        assert batch.simple.dtype == batch.complex.dtype == np.float32
+        for row, i in enumerate(idx):
+            img = ds.images[i].astype(np.float32) / 255.0
+            assert np.array_equal(batch.simple[row], simple_augment(
+                img, record_rng(5, epoch, i, 0), cfg))
+            assert np.array_equal(batch.complex[row], complex_augment(
+                img, record_rng(5, epoch, i, 1), cfg))
+            if extras is NO_EXTRAS:
+                # with every extra stage off, the complex view is the
+                # simple pipeline run on the view-1 stream
+                assert np.array_equal(batch.complex[row], simple_augment(
+                    img, record_rng(5, epoch, i, 1), cfg))
+
+
+@pytest.mark.parametrize("extras", [{}, ALL_EXTRAS], ids=["default", "all"])
+def test_make_batch_rows_depend_only_on_their_record(tmp_path, extras):
+    # record_rng's contract: a row is the same alone, in any batch and at
+    # any position, so the batch split (and worker count) cannot change it
+    path, _, _ = _fixture(tmp_path, n=24)
+    ds = load_cifar10(path)
+    cfg = AugmentConfig(**extras)
+    idx = np.arange(3, 19)
+    batch = make_batch(ds, idx, 7, 2, cfg)
+    perm = np.random.default_rng(0).permutation(len(idx))
+    shuffled = make_batch(ds, idx[perm], 7, 2, cfg)
+    for view in ("simple", "complex"):
+        rows = getattr(batch, view)
+        assert np.array_equal(getattr(shuffled, view), rows[perm])
+        for i in range(len(idx)):
+            alone = make_batch(ds, idx[i:i + 1], 7, 2, cfg)
+            assert np.array_equal(getattr(alone, view)[0], rows[i])

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmim.errors import ConfigError
 from dualmim.masking import gen_mask, split_folds, validate_masking
@@ -67,3 +68,19 @@ def test_degenerate_ratios_rejected():
     with pytest.raises(ConfigError):
         validate_masking(64, 0.001, 3)  # rounds to zero masked
 
+
+
+@settings(derandomize=True, max_examples=100, deadline=10000, database=None)
+@given(k=st.integers(1, 8), f=st.integers(1, 16), visible=st.integers(1, 40),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_split_folds_properties(k, f, visible, seed):
+    """Any even split: K rows of F tokens, pairwise disjoint, whose union
+    is exactly the masked set."""
+    n = k * f + visible
+    rng = np.random.default_rng(seed)
+    assert validate_masking(n, k * f / n, k) == k * f
+    spec = gen_mask(n, k * f / n, rng)
+    folds = split_folds(spec, k, rng)
+    assert folds.shape == (k, f)
+    assert np.unique(folds).size == k * f
+    assert np.array_equal(np.sort(folds.reshape(-1)), spec.masked_indices)

@@ -156,6 +156,21 @@ def test_sinkhorn_fold_keeps_a_faint_column_alive():
                 sinkhorn_normalize(scores, _eye(scores), iters, temp)
 
 
+def test_sinkhorn_scaling_vector_past_float32_raises():
+    # column 2 sits 200 temperatures below the top score but for one entry
+    # at 83, inside SPREAD_T; with B / K_c = 512 its v comes to about
+    # 512 e^83, past float32's range, and is rejected before the cast
+    # instead of turning Q and the entropy non-finite
+    rng = np.random.default_rng(19)
+    b, kc, temp = 2048, 4, 0.1
+    scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
+    top = scores.max()
+    scores[:, 2] = top - 200 * temp
+    scores[int(rng.integers(b)), 2] = top - 83 * temp
+    with pytest.raises(ValueError, match="overflows float32"):
+        sinkhorn_normalize(scores, _eye(scores), 3, temp)
+
+
 def test_sinkhorn_writes_into_out():
     rng = np.random.default_rng(13)
     scores = rng.uniform(-1.0, 1.0, (12, 20)).astype(np.float32)
@@ -388,6 +403,47 @@ def test_match_batch_matches_single():
         assert np.array_equal(fold_idx[b], [kk for _, kk, _ in best])
         assert np.array_equal(row_idx[b], [ff for _, _, ff in best])
         assert np.allclose(dist[b], [d for d, _, _ in best], atol=1e-6)
+
+
+def _unit64(x):
+    norm = np.linalg.norm(x)
+    return x / norm if norm > 0 else x
+
+
+@settings(derandomize=True, max_examples=80, deadline=10000, database=None)
+@given(b=st.integers(1, 4), m=st.integers(1, 12), k=st.integers(1, 4),
+       f=st.integers(1, 8), d=st.integers(1, 16), dups=st.integers(0, 8),
+       zeros=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+def test_match_batch_brute_force_properties(b, m, k, f, d, dups, zeros,
+                                            seed):
+    """Batched matching against a float64 loop over every (fold, row) of
+    the same image, with exact ties from copied teacher rows and from
+    zero rows (distance 1 to everything): the first strictly closest pair
+    in (fold, row) order wins."""
+    rng = np.random.default_rng(seed)
+    s = rng.standard_normal((b, m, d)).astype(np.float32)
+    t = rng.standard_normal((k, b, f, d)).astype(np.float32)
+    for _ in range(dups):
+        img = rng.integers(b)
+        t[rng.integers(k), img, rng.integers(f)] = t[rng.integers(k), img,
+                                                     rng.integers(f)]
+    # a student row equal to a teacher row ties with that row's copies
+    s[:, 0] = t[rng.integers(k), :, rng.integers(f)]
+    if zeros:
+        s[:, -1] = 0.0
+        t[rng.integers(k), :, rng.integers(f)] = 0.0
+    fold_idx, row_idx, dist = nearest_patch_match_batch(s, t)
+    for bi in range(b):
+        for mi in range(m):
+            best = None
+            for kk in range(k):
+                for ff in range(f):
+                    d64 = 1.0 - float(_unit64(s[bi, mi].astype(np.float64))
+                                      @ _unit64(t[kk, bi, ff].astype(np.float64)))
+                    if best is None or d64 < best[0]:
+                        best = (d64, kk, ff)
+            assert (fold_idx[bi, mi], row_idx[bi, mi]) == best[1:]
+            assert abs(dist[bi, mi] - best[0]) < 1e-5
 
 
 def _class_targets(k, b, kc, seed):
