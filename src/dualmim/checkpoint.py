@@ -9,6 +9,7 @@ Layout (little-endian):
       u16 name length + name utf-8
       u8 ndim, ndim x u32 dims
       float32 payload, row-major
+  u32 CRC-32 (zlib) of every byte before it
 
 Record order is fixed by the trainer's group table and the modules'
 attribute order, so save -> load -> save is byte-identical.
@@ -17,13 +18,14 @@ attribute order, so save -> load -> save is byte-identical.
 import json
 import os
 import struct
+import zlib
 
 import numpy as np
 
 from .errors import DataError
 
 MAGIC = b"DMIMCKPT"
-VERSION = 1
+VERSION = 2
 
 
 def save_checkpoint(path, config_json, run_state, records):
@@ -34,26 +36,29 @@ def save_checkpoint(path, config_json, run_state, records):
     previous checkpoint as it was.
     """
     items = list(records.items()) if isinstance(records, dict) else list(records)
+    cfg = config_json.encode("utf-8")
+    state = json.dumps(run_state, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", VERSION))
-            cfg = config_json.encode("utf-8")
-            fh.write(struct.pack("<Q", len(cfg)))
-            fh.write(cfg)
-            state = json.dumps(run_state, sort_keys=True).encode("utf-8")
-            fh.write(struct.pack("<Q", len(state)))
-            fh.write(state)
-            fh.write(struct.pack("<I", len(items)))
+            crc = 0
+
+            def put(*chunks):
+                nonlocal crc
+                for chunk in chunks:
+                    fh.write(chunk)
+                    crc = zlib.crc32(chunk, crc)
+
+            put(MAGIC, struct.pack("<IQ", VERSION, len(cfg)), cfg,
+                struct.pack("<Q", len(state)), state,
+                struct.pack("<I", len(items)))
             for name, arr in items:
                 arr = np.ascontiguousarray(arr, dtype="<f4")
                 nb = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(nb)))
-                fh.write(nb)
-                fh.write(struct.pack("<B", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.tobytes())
+                put(struct.pack("<H", len(nb)), nb,
+                    struct.pack(f"<B{arr.ndim}I", arr.ndim, *arr.shape),
+                    arr.tobytes())
+            fh.write(struct.pack("<I", crc))
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
@@ -64,14 +69,18 @@ def save_checkpoint(path, config_json, run_state, records):
 
 
 def load_checkpoint(path):
-    """Returns (config_json, run_state dict, ordered list of (name, array))."""
+    """Returns (config_json, run_state dict, ordered list of (name, array)).
+
+    The magic and the version are checked first, then the CRC-32 over every
+    byte before the trailer; only a file that passes both is parsed.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
-    off = 0
+    off, end = 0, len(raw)
 
     def take(n):
         nonlocal off
-        if off + n > len(raw):
+        if off + n > end:
             raise DataError(f"{path}: truncated checkpoint at byte {off}")
         chunk = raw[off:off + n]
         off += n
@@ -82,16 +91,24 @@ def load_checkpoint(path):
     (version,) = struct.unpack("<I", take(4))
     if version != VERSION:
         raise DataError(f"{path}: unsupported checkpoint version {version}")
-    (clen,) = struct.unpack("<Q", take(8))
-    config_raw = take(clen)
-    (slen,) = struct.unpack("<Q", take(8))
-    try:
-        config_json = config_raw.decode("utf-8")
-        json.loads(config_json)  # TrainConfig.from_json parses it again
-        run_state = json.loads(take(slen).decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise DataError(f"{path}: config or run state is not UTF-8 JSON: "
-                        f"{e}") from None
+    end -= 4
+    if end < off:
+        raise DataError(f"{path}: truncated checkpoint at byte {end}")
+    (crc,) = struct.unpack_from("<I", raw, end)
+    if zlib.crc32(memoryview(raw)[:end]) != crc:
+        raise DataError(f"{path}: CRC-32 mismatch; the checkpoint is corrupt, "
+                        f"truncated or has trailing bytes")
+
+    def parse_json(what):
+        (n,) = struct.unpack("<Q", take(8))
+        try:
+            text = take(n).decode("utf-8")
+            return text, json.loads(text)
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise DataError(f"{path}: {what} is not UTF-8 JSON: {e}") from None
+
+    config_json, _ = parse_json("config")  # TrainConfig.from_json parses again
+    _, run_state = parse_json("run state")
     if not isinstance(run_state, dict):
         raise DataError(f"{path}: run state is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
@@ -104,8 +121,8 @@ def load_checkpoint(path):
         n = int(np.prod(shape)) if ndim else 1
         arr = np.frombuffer(take(4 * n), dtype="<f4").reshape(shape).copy()
         records.append((name, arr))
-    if off != len(raw):
-        raise DataError(f"{path}: {len(raw) - off} trailing bytes after records")
+    if off != end:
+        raise DataError(f"{path}: {end - off} trailing bytes after records")
     return config_json, run_state, records
 
 

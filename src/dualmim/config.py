@@ -139,27 +139,13 @@ def _build(dc_type, d, path):
     kwargs = {}
     for name, val in d.items():
         f = known[name]
-        sub = _nested_type(f)
-        if sub is not None and isinstance(val, dict):
-            kwargs[name] = _build(sub, val, f"{path}.{name}".lstrip("."))
+        if dataclasses.is_dataclass(f.type) and isinstance(val, dict):
+            kwargs[name] = _build(f.type, val, f"{path}.{name}".lstrip("."))
         elif isinstance(val, list):
             kwargs[name] = tuple(val)
         else:
             kwargs[name] = val
     return dc_type(**kwargs)
-
-
-def _nested_type(f):
-    t = f.type if not isinstance(f.type, str) else None
-    if t is None:
-        # dataclass field types may be strings under __future__ annotations;
-        # resolve by looking at the default factory instead
-        if f.default_factory is not dataclasses.MISSING:  # type: ignore
-            probe = f.default_factory()
-            if dataclasses.is_dataclass(probe):
-                return type(probe)
-        return None
-    return t if dataclasses.is_dataclass(t) else None
 
 
 def load_config(path=None, overrides=None):

@@ -103,10 +103,9 @@ def op_suite(seed=0):
     results.append(("linear", check_grads(
         lambda: (linear(x, w, bias) * c).mean(), {"x": x, "w": w, "b": bias})))
 
-    q, k, v = randn(2, 5, 4), randn(2, 5, 4), randn(2, 5, 4)
-    w = const(2, 5, 4)
+    qkv, w = randn(2, 5, 12), const(2, 5, 4)
     results.append(("attention", check_grads(
-        lambda: (attention(q, k, v, 2) * w).mean(), {"q": q, "k": k, "v": v})))
+        lambda: (attention(qkv, 2) * w).mean(), {"qkv": qkv})))
 
     x, w = randn(3, 5), const(3, 5)
     results.append(("l2_normalize", check_grads(

@@ -343,25 +343,22 @@ def linear(x, w, b=None):
                           "linear", bwd)
 
 
-def attention(q, k, v, num_heads):
-    """Multi-head softmax(q k^T / sqrt(hd)) v on [B, T, D] inputs, one node.
+def attention(qkv, num_heads):
+    """Multi-head softmax(q k^T / sqrt(hd)) v on a [B, T, 3D] input, one node.
 
-    Splits the heads, forms the scores and their softmax in place on one
-    [B, H, T, T] buffer, applies it to v and merges the heads. Backward
-    keeps only the probabilities: dv = att^T g, ds = att * (g v^T -
-    rowsum(g v^T * att)) / sqrt(hd), dq = ds k, dk = ds^T q.
+    q, k and v are head views of the input's [B, T, 3, H, hd] reshape. The
+    scores and their softmax are formed in place on one [B, H, T, T] buffer,
+    applied to v, and the heads merged. Backward keeps only the
+    probabilities: dv = att^T g, ds = att * (g v^T - rowsum(g v^T * att)) /
+    sqrt(hd), dq = ds k, dk = ds^T q, written into one [3, B, H, T, hd]
+    buffer and passed on as one [B, T, 3D] copy.
     """
-    b, t, d = q.shape
+    b, t, d3 = qkv.shape
+    d = d3 // 3
     hd = d // num_heads
     scale = np.float32(1.0 / np.sqrt(hd))
-
-    def heads(z):   # [B, T, D] -> [B, H, T, hd] view
-        return z.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
-
-    def merge(z):   # [B, H, T, hd] -> [B, T, D] contiguous
-        return z.transpose(0, 2, 1, 3).reshape(b, t, d)
-
-    qh, kh, vh = heads(q.data), heads(k.data), heads(v.data)
+    qh, kh, vh = qkv.data.reshape(b, t, 3, num_heads, hd).transpose(
+        2, 0, 3, 1, 4)
     att = qh @ kh.transpose(0, 1, 3, 2)
     att *= scale
     att -= att.max(axis=-1, keepdims=True)
@@ -369,20 +366,19 @@ def attention(q, k, v, num_heads):
     att /= att.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        gh = heads(g)
-        if v.requires_grad:
-            v._accumulate(merge(att.transpose(0, 1, 3, 2) @ gh))
-        if q.requires_grad or k.requires_grad:
-            ds = gh @ vh.transpose(0, 1, 3, 2)
-            ds -= np.einsum("bhij,bhij->bhi", ds, att)[..., None]
-            ds *= att
-            ds *= scale
-            if q.requires_grad:
-                q._accumulate(merge(ds @ kh))
-            if k.requires_grad:
-                k._accumulate(merge(ds.transpose(0, 1, 3, 2) @ qh))
+        gh = g.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+        ds = gh @ vh.transpose(0, 1, 3, 2)
+        ds -= np.einsum("bhij,bhij->bhi", ds, att)[..., None]
+        ds *= att
+        ds *= scale
+        dqkv = np.empty((3, b, num_heads, t, hd), np.float32)
+        np.matmul(ds, kh, out=dqkv[0])
+        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=dqkv[1])
+        np.matmul(att.transpose(0, 1, 3, 2), gh, out=dqkv[2])
+        qkv._accumulate(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, t, d3))
 
-    return Tensor._result(merge(att @ vh), (q, k, v), "attention", bwd)
+    out = (att @ vh).transpose(0, 2, 1, 3).reshape(b, t, d)
+    return Tensor._result(out, (qkv,), "attention", bwd)
 
 
 def gelu(x):

@@ -300,9 +300,8 @@ class Trainer:
         tr.optimizer.step_count = need("adamw_step")
         tr.global_iter = need("global_iter")
         tr.epochs_done = need("epochs_done")
-        # checkpoints written before mid-epoch resume stopped on epoch ends
-        tr.iters_done_in_epoch = state.get("iters_done_in_epoch", 0)
-        tr.data_fingerprint = state.get("data_fingerprint")
+        tr.iters_done_in_epoch = need("iters_done_in_epoch")
+        tr.data_fingerprint = need("data_fingerprint")
         tr.t_rec.update_count = need("t_rec_updates")
         if tr.t_cl is not None:
             tr.t_cl.update_count = need("t_cl_updates")
@@ -335,10 +334,7 @@ def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
         trainer = Trainer.load(resume)
         if trainer.cfg.to_json() != config.to_json():
             raise DataError("resume checkpoint was built with a different config")
-        # a checkpoint from before the fingerprint is checked on its
-        # iters_per_epoch alone
-        if (trainer.iters_per_epoch != iters_per_epoch
-                or trainer.data_fingerprint not in (None, fingerprint)):
+        if trainer.data_fingerprint != fingerprint:
             raise DataError("resume dataset differs from the one the "
                             "checkpoint was trained on")
     else:

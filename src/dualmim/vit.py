@@ -174,14 +174,11 @@ class LayerNorm(Module):
 class Attention(Module):
     def __init__(self, rng, dim, num_heads):
         self.num_heads = num_heads
-        self.wq = Linear(rng, dim, dim)
-        self.wk = Linear(rng, dim, dim)
-        self.wv = Linear(rng, dim, dim)
+        self.qkv = Linear(rng, dim, 3 * dim)
         self.proj = Linear(rng, dim, dim)
 
     def __call__(self, x):
-        return self.proj(attention(self.wq(x), self.wk(x), self.wv(x),
-                                   self.num_heads))
+        return self.proj(attention(self.qkv(x), self.num_heads))
 
 
 class Mlp(Module):

@@ -64,7 +64,7 @@ def _block(x, prm, prefix, num_heads):
         return z.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
 
     h = _layernorm(x, prm[f"{prefix}.norm1.gamma"], prm[f"{prefix}.norm1.beta"])
-    q, k, v = heads(lin(h, "attn.wq")), heads(lin(h, "attn.wk")), heads(lin(h, "attn.wv"))
+    q, k, v = (heads(z) for z in np.split(lin(h, "attn.qkv"), 3, axis=-1))
     att = _softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd))
     o = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
     x = x + lin(o, "attn.proj")

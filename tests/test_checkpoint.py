@@ -1,9 +1,11 @@
 """Checkpoint binary format tests."""
 
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmim.checkpoint import (MAGIC, load_checkpoint, restore_into,
                                 save_checkpoint)
@@ -100,3 +102,41 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     monkeypatch.undo()
     assert open(p, "rb").read() == before
     assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+
+_record_sets = st.lists(
+    st.tuples(st.text(max_size=12),
+              st.lists(st.integers(0, 3), max_size=3)),
+    max_size=4)
+
+
+@settings(derandomize=True, max_examples=25, deadline=20000, database=None)
+@given(records=_record_sets, seed=st.integers(0, 2 ** 16))
+def test_checkpoint_properties(records, seed):
+    """For any record set (names, ndim 0-3, shapes): save -> load -> save is
+    byte-identical, and every truncation and every single-bit flip of the
+    file raises DataError."""
+    rng = np.random.default_rng(seed)
+    recs = [(name, rng.standard_normal(shape).astype(np.float32))
+            for name, shape in records]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "c.bin")
+        save_checkpoint(path, '{"seed": 1}', {"global_iter": seed}, recs)
+        raw = open(path, "rb").read()
+        cfg, state, loaded = load_checkpoint(path)
+        save_checkpoint(path, cfg, state, loaded)
+        assert open(path, "rb").read() == raw
+
+        def load(data):
+            with open(path, "wb") as fh:
+                fh.write(data)
+            load_checkpoint(path)
+
+        for n in range(len(raw)):
+            with pytest.raises(DataError):
+                load(raw[:n])
+        for bit in range(8 * len(raw)):
+            flipped = bytearray(raw)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            with pytest.raises(DataError):
+                load(bytes(flipped))

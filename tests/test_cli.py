@@ -5,6 +5,7 @@ import shutil
 import struct
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -97,36 +98,21 @@ def test_missing_data_dir_required(tmp_path):
     assert main(["pretrain", "--out", str(tmp_path / "x")] + TINY) == 3
 
 
-def _resume_rejected(tmp_path, data_file, other_n, strip_fingerprint):
-    """Pretrain on `data_file`, then resume on another dataset of `other_n`
-    records: exit 3, and the checkpoint keeps its bytes."""
+def test_resume_on_different_dataset_exit_code_3(tmp_path, data_file):
+    """Same record count, so the same iterations per epoch: only the
+    fingerprint tells the datasets apart. Exit 3, and the checkpoint keeps
+    its bytes."""
     out = str(tmp_path / "run")
     assert main(["pretrain", "--data-dir", data_file, "--out", out,
                  "--max-iters", "2", "--seed", "5"] + TINY) == 0
     ckpt = os.path.join(out, "checkpoint.bin")
-    if strip_fingerprint:   # as written before the fingerprint existed
-        config_json, state, records = load_checkpoint(ckpt)
-        del state["data_fingerprint"]
-        save_checkpoint(ckpt, config_json, state, records)
     before = open(ckpt, "rb").read()
     other = str(tmp_path / "other.bin")
-    assert main(["make-data", "--data-dir", other, "--n", str(other_n),
+    assert main(["make-data", "--data-dir", other, "--n", "64",
                  "--seed", "4"]) == 0
     assert main(["pretrain", "--data-dir", other, "--out", out,
                  "--resume", ckpt, "--seed", "5"] + TINY) == 3
     assert open(ckpt, "rb").read() == before
-
-
-def test_resume_on_different_dataset_exit_code_3(tmp_path, data_file):
-    # same record count, so the same iters_per_epoch: only the
-    # fingerprint tells the datasets apart
-    _resume_rejected(tmp_path, data_file, 64, strip_fingerprint=False)
-
-
-def test_resume_without_fingerprint_checks_iters_per_epoch(tmp_path,
-                                                           data_file):
-    # 48 records at batch 8 give 6 iterations an epoch, not 8
-    _resume_rejected(tmp_path, data_file, 48, strip_fingerprint=True)
 
 
 def _rewrite(edit):
@@ -137,36 +123,79 @@ def _rewrite(edit):
     return corrupt
 
 
-def _first_byte(blob, value):
-    """A corruption that overwrites the first byte of the config or
-    run-state JSON in place."""
+def _drop_state_key(key):
+    return _rewrite(lambda state, records: (
+        {k: v for k, v in state.items() if k != key}, records))
+
+
+def _edit_bytes(edit, reseal):
+    """A corruption that edits the raw bytes in place; with `reseal`, the
+    CRC-32 trailer is rewritten to match, so the load gets past it."""
     def corrupt(path):
         raw = bytearray(open(path, "rb").read())
-        (clen,) = struct.unpack_from("<Q", raw, 12)  # after magic, version
-        raw[20 if blob == "config" else 28 + clen] = value
+        raw = edit(raw)
+        if reseal:
+            raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
         open(path, "wb").write(raw)
     return corrupt
 
 
+def _first_byte(blob, value):
+    """Overwrite the first byte of the config or run-state JSON."""
+    def edit(raw):
+        (clen,) = struct.unpack_from("<Q", raw, 12)  # after magic, version
+        raw[20 if blob == "config" else 28 + clen] = value
+        return raw
+    return _edit_bytes(edit, reseal=True)
+
+
+def _flip_payload_bit(raw):
+    raw[-5] ^= 0x10   # the last payload byte, just before the trailer
+    return raw
+
+
+def _as_v1(raw):
+    raw[8:12] = struct.pack("<I", 1)
+    return raw[:-4]
+
+
+# fault -> (corruption, the stderr text of the check that must catch it)
 _MALFORMED = {
-    "adamw_record_missing": _rewrite(lambda state, records: (state, [
+    "adamw_record_missing": (_rewrite(lambda state, records: (state, [
         r for r in records if r[0] != "adamw.m.encoder.cls_token"])),
-    "adamw_record_extra": _rewrite(lambda state, records: (state, records + [
+        "mismatch under 'adamw.m.': missing=['encoder.cls_token']"),
+    "adamw_record_extra": (_rewrite(lambda state, records: (state, records + [
         ("adamw.v.encoder.extra", np.zeros(1, np.float32))])),
-    "adamw_record_shape": _rewrite(lambda state, records: (state, [
+        "mismatch under 'adamw.v.': missing=[] extra=['encoder.extra']"),
+    "adamw_record_shape": (_rewrite(lambda state, records: (state, [
         (n, np.zeros(1, np.float32) if n == "adamw.v.decoder.pred.b" else a)
         for n, a in records])),
-    "stray_record": _rewrite(lambda state, records: (state, records + [
+        "shape mismatch at 'adamw.v.decoder.pred.b'"),
+    "stray_record": (_rewrite(lambda state, records: (state, records + [
         ("bogus", np.zeros(1, np.float32))])),
-    "other_teacher_record": _rewrite(lambda state, records: (state, records + [
-        ("teacher_single.encoder.cls_token", np.zeros((1, 1, 8), np.float32))
-    ])),
-    "run_state_key_missing": _rewrite(lambda state, records: (
-        {k: v for k, v in state.items() if k != "adamw_step"}, records)),
-    "run_state_not_object": _rewrite(lambda state, records: ([1], records)),
-    "run_state_not_json": _first_byte("state", ord("x")),
-    "config_not_json": _first_byte("config", ord("x")),
-    "config_not_utf8": _first_byte("config", 0xFF),
+        "stray checkpoint records ['bogus']"),
+    "other_teacher_record": (_rewrite(lambda state, records: (
+        state, records + [("teacher_single.encoder.cls_token",
+                           np.zeros((1, 1, 8), np.float32))])),
+        "stray checkpoint records ['teacher_single.encoder.cls_token']"),
+    "run_state_key_missing": (_drop_state_key("adamw_step"),
+                              "run state has no 'adamw_step'"),
+    "iters_done_in_epoch_missing": (_drop_state_key("iters_done_in_epoch"),
+                                    "run state has no 'iters_done_in_epoch'"),
+    "data_fingerprint_missing": (_drop_state_key("data_fingerprint"),
+                                 "run state has no 'data_fingerprint'"),
+    "run_state_not_object": (_rewrite(lambda state, records: ([1], records)),
+                             "run state is not a JSON object"),
+    "run_state_not_json": (_first_byte("state", ord("x")),
+                           "run state is not UTF-8 JSON: Expecting value"),
+    "config_not_json": (_first_byte("config", ord("x")),
+                        "config is not UTF-8 JSON: Expecting value"),
+    "config_not_utf8": (_first_byte("config", 0xFF),
+                        "config is not UTF-8 JSON: 'utf-8' codec"),
+    "crc_mismatch": (_edit_bytes(_flip_payload_bit, reseal=False),
+                     "CRC-32 mismatch"),
+    "v1_file": (_edit_bytes(_as_v1, reseal=False),
+                "unsupported checkpoint version 1"),
 }
 
 
@@ -180,16 +209,25 @@ def pristine_checkpoint(tmp_path_factory, data_file):
 
 @pytest.mark.parametrize("fault", list(_MALFORMED))
 def test_malformed_checkpoint_exit_code_3(tmp_path, data_file,
-                                          pristine_checkpoint, fault):
+                                          pristine_checkpoint, fault, capsys):
     """A resume from a malformed checkpoint exits 3, not with a traceback
-    or a failure later in the run, and leaves the checkpoint's bytes."""
+    or a failure later in the run, from the check meant for that fault, and
+    leaves the checkpoint's bytes."""
     ckpt = str(tmp_path / "checkpoint.bin")
     shutil.copy(pristine_checkpoint, ckpt)
-    _MALFORMED[fault](ckpt)
+    corrupt, message = _MALFORMED[fault]
+    corrupt(ckpt)
     before = open(ckpt, "rb").read()
     assert main(["pretrain", "--data-dir", data_file, "--out", str(tmp_path),
                  "--resume", ckpt, "--seed", "5"] + TINY) == 3
+    assert message in capsys.readouterr().err
     assert open(ckpt, "rb").read() == before
+
+
+def test_gradcheck_command(capsys):
+    """`dualmim gradcheck` runs the finite-difference suite and passes."""
+    assert main(["gradcheck"]) == 0
+    assert "PASS attention:" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("overrides", [

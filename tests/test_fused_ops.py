@@ -9,8 +9,8 @@ relative to the reference's largest magnitude.
 
 import numpy as np
 
-from dualmim.tensor import (Tensor, attention, gelu, l2_normalize, layernorm,
-                            linear, softmax)
+from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
+                            layernorm, linear, softmax)
 
 REL = 1e-5
 
@@ -31,14 +31,16 @@ def ref_linear(x, w, b):
     return y.reshape(lead + (w.shape[1],))
 
 
-def ref_attention(q, k, v, num_heads):
-    b, t, d = q.shape
+def ref_attention(qkv, num_heads):
+    b, t, d3 = qkv.shape
+    d = d3 // 3
     hd = d // num_heads
 
     def heads(z):
         return _transpose(z.reshape(b, t, num_heads, hd), (0, 2, 1, 3))
 
-    q, k, v = heads(q), heads(k), heads(v)
+    q, k, v = (heads(qkv.take(np.arange(i * d, (i + 1) * d), axis=2))
+               for i in range(3))
     att = softmax(q @ _transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(hd)),
                   axis=-1)
     return _transpose(att @ v, (0, 2, 1, 3)).reshape(b, t, d)
@@ -120,17 +122,21 @@ def test_linear_without_bias_and_frozen_weight():
 def test_attention_matches_composed():
     rng = np.random.default_rng(4)
     for b, t, d, h in ((2, 5, 8, 2), (3, 17, 16, 4), (1, 9, 6, 1)):
-        q, k, v = (_leaf(rng, b, t, d) for _ in range(3))
-        _check(lambda: attention(q, k, v, h),
-               lambda: ref_attention(q, k, v, h), [q, k, v], (b, t, d), 5)
+        qkv = _leaf(rng, b, t, 3 * d)
+        _check(lambda: attention(qkv, h), lambda: ref_attention(qkv, h),
+               [qkv], (b, t, d), 5)
 
 
 def test_attention_shared_input():
     """q, k and v all from one tensor: its gradients add up."""
     rng = np.random.default_rng(6)
     x = _leaf(rng, 2, 6, 8)
-    _check(lambda: attention(x, x * 0.5, x * x, 2),
-           lambda: ref_attention(x, x * 0.5, x * x, 2), [x], (2, 6, 8), 7)
+
+    def qkv():
+        return concat([x, x * 0.5, x * x], axis=2)
+
+    _check(lambda: attention(qkv(), 2), lambda: ref_attention(qkv(), 2),
+           [x], (2, 6, 8), 7)
 
 
 def test_layernorm_matches_composed():

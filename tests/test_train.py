@@ -8,7 +8,7 @@ import pytest
 
 from dualmim import ema as ema_mod
 from dualmim import vit
-from dualmim.checkpoint import load_checkpoint, save_checkpoint
+from dualmim.checkpoint import load_checkpoint
 from dualmim.config import TrainConfig
 from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
                           make_synthetic_cifar, standardize)
@@ -148,8 +148,7 @@ def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, mode, stop_at):
 
 # One transformer block's parameters, in record order.
 _BLOCK_NAMES = ["norm1.gamma", "norm1.beta",
-                "attn.wq.w", "attn.wq.b", "attn.wk.w", "attn.wk.b",
-                "attn.wv.w", "attn.wv.b", "attn.proj.w", "attn.proj.b",
+                "attn.qkv.w", "attn.qkv.b", "attn.proj.w", "attn.proj.b",
                 "norm2.gamma", "norm2.beta",
                 "mlp.fc1.w", "mlp.fc1.b", "mlp.fc2.w", "mlp.fc2.b"]
 
@@ -160,8 +159,8 @@ def _blocks(n):
 
 def test_checkpoint_record_names_exact(tmp_path):
     """The parameter walker takes names and order from attribute order;
-    these are the record names checkpoints have always had, so reordering
-    a module's attributes fails here instead of breaking old checkpoints."""
+    these are the record names of checkpoint format 2, so reordering a
+    module's attributes fails here instead of breaking saved checkpoints."""
     encoder = (["patch_embed.w", "patch_embed.b", "cls_token"] + _blocks(2)
                + ["norm.gamma", "norm.beta"])
     decoder = (["embed.w", "embed.b", "mask_token"] + _blocks(1)
@@ -181,18 +180,6 @@ def test_checkpoint_record_names_exact(tmp_path):
     Trainer(tiny_config()).save(path)
     _, _, records = load_checkpoint(path)
     assert [name for name, _ in records] == expected
-
-
-def test_resume_state_without_in_epoch_iteration(tmp_path, tiny_ds):
-    # checkpoints from before the in-epoch counter resume at the epoch start
-    cfg = _tiny_cfg(**{"optim.total_epochs": 2, "optim.batch_size": 16})
-    out = str(tmp_path / "run")
-    pretrain(cfg, tiny_ds, out, max_iters=4)
-    path = os.path.join(out, "checkpoint.bin")
-    config_json, state, records = load_checkpoint(path)
-    assert state.pop("iters_done_in_epoch") == 0
-    save_checkpoint(path, config_json, state, records)
-    assert Trainer.load(path).iters_done_in_epoch == 0
 
 
 def test_resume_config_mismatch_rejected(tmp_path, tiny_ds):
