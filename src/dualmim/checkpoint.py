@@ -113,9 +113,13 @@ def load_checkpoint(path):
         raise DataError(f"{path}: run state is not a JSON object")
     (count,) = struct.unpack("<I", take(4))
     records = []
-    for _ in range(count):
+    for i in range(count):
         (nlen,) = struct.unpack("<H", take(2))
-        name = take(nlen).decode("utf-8")
+        try:
+            name = take(nlen).decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(
+                f"{path}: record {i} name is not UTF-8: {e}") from None
         (ndim,) = struct.unpack("<B", take(1))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         n = int(np.prod(shape)) if ndim else 1

@@ -139,10 +139,17 @@ def _build(dc_type, d, path):
     kwargs = {}
     for name, val in d.items():
         f = known[name]
-        if dataclasses.is_dataclass(f.type) and isinstance(val, dict):
-            kwargs[name] = _build(f.type, val, f"{path}.{name}".lstrip("."))
+        where = f"{path}.{name}".lstrip(".")
+        if dataclasses.is_dataclass(f.type):
+            kwargs[name] = _build(f.type, val, where)
         elif isinstance(val, list):
             kwargs[name] = tuple(val)
+        elif f.type is float and isinstance(val, str):
+            try:    # YAML 1.1 reads an exponent without a dot, 1e-4, as text
+                kwargs[name] = float(val)
+            except ValueError:
+                raise ConfigError(
+                    f"'{where}' must be a number, got {val!r}") from None
         else:
             kwargs[name] = val
     return dc_type(**kwargs)

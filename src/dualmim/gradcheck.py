@@ -18,8 +18,8 @@ import numpy as np
 from . import losses as losses_mod
 from . import pseudolabel as pl
 from .optim import AdamW
-from .tensor import (Tensor, attention, gelu, l2_normalize, layernorm,
-                     linear, softmax)
+from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
+                     layernorm, linear, softmax)
 
 EPS = 1e-3
 REL_TOL = 1e-3
@@ -124,21 +124,17 @@ def op_suite(seed=0):
     results.append(("log", check_grads(
         lambda: ((x * x + 1.5).log() * w).mean(), {"x": x})))
 
-    x, y, w = randn(2, 6), randn(2, 6), const(2, 6)
-    results.append(("div", check_grads(
-        lambda: (x / (y * y + 2.0) * w).mean(), {"x": x, "y": y})))
+    x, w = randn(3, 4), const(7, 3)
+    results.append(("take_concat_reshape", check_grads(
+        lambda: (concat([x.take(np.array([0, 2, 2]), axis=1), x * x], axis=1)
+                 .reshape(7, 3) * w).mean(), {"x": x})))
 
-    x = randn(3, 4)
-    results.append(("take_concat", check_grads(
-        lambda: (x.take(np.array([0, 2, 2]), axis=1) *
-                 x.take(np.array([1, 3, 0]), axis=1)).mean(), {"x": x})))
-
-    t = randn(2, 4, 8)
-    target = rng.normal(0, 1, (2, 3, 8)).astype(np.float32)
-    results.append(("cosine_recon", check_grads(
-        lambda: losses_mod.cosine_recon_loss(
-            t.take(np.array([1, 2, 3]), axis=1),
-            losses_mod.normalize_targets(target)), {"t": t})))
+    # row 0 (class) and position 2 are in no fold: their gradient is zero
+    t = randn(2, 6, 8)
+    teacher = rng.normal(0, 1, (2, 2, 2, 8)).astype(np.float32)
+    folds = np.array([[3, 0], [4, 1]])
+    results.append(("recon_loss", check_grads(
+        lambda: losses_mod.recon_loss(t, teacher, folds)[0], {"t": t})))
 
     s = randn(3, 4, scale=0.5)
     p = np.abs(rng.normal(0, 1, (3, 4))).astype(np.float32)

@@ -47,34 +47,37 @@ def normalize_targets(teacher_tokens, eps=TARGET_EPS):
     return (t - mu) / np.sqrt(var + eps)
 
 
-def cosine_recon_loss(student_rows, target_rows):
-    """1 - mean cosine similarity between tape rows and constant targets.
-
-    `student_rows`: Tensor [..., D] (decoder outputs at masked positions);
-    `target_rows`: array of the same shape, already normalized.
-    """
-    t = np.asarray(target_rows, dtype=np.float32)
-    t_unit = t / (np.linalg.norm(t, axis=-1, keepdims=True) + _COS_EPS)
-    s_norm = ((student_rows * student_rows).sum(axis=-1) + _COS_EPS).sqrt()
-    cos = (student_rows * Tensor(t_unit)).sum(axis=-1) / s_norm
-    return 1.0 - cos.mean()
-
-
 def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
-    """Eq. of the reconstruction objective over all masked positions.
+    """1 - mean cosine between the student rows at every masked position
+    and their unit reconstruction targets, as one tape node.
 
     `decoder_out`: [B, N+1, D] Tensor (class token at row 0);
     `teacher_fold_tokens`: [K, B, F, D] raw teacher patch tokens (class
     rows already stripped), fold k at the positions `folds[k]` of the
-    [K, F] `folds`. Returns (scalar Tensor, mean cosine float).
+    [K, F] `folds`. With s a student row, t its unit target and
+    n = sqrt(|s|^2 + eps), cos = s.t / n; over R rows the backward is
+    ds = -g/(R n) (t - cos s/n), written at the fold rows of one zeroed
+    [B, N+1, D] buffer. Returns (scalar Tensor, mean cosine float).
     """
     k, b, f, d = teacher_fold_tokens.shape
-    targets = normalize_targets(teacher_fold_tokens, eps)
-    targets = targets.transpose(1, 0, 2, 3).reshape(b, k * f, d)
-    # +1 skips the class row
-    student_rows = decoder_out.take(folds.reshape(-1) + 1, axis=1)
-    loss = cosine_recon_loss(student_rows, targets)
-    return loss, 1.0 - float(loss.data)
+    t = normalize_targets(teacher_fold_tokens, eps).transpose(
+        1, 0, 2, 3).reshape(b, k * f, d)
+    t /= np.linalg.norm(t, axis=-1, keepdims=True) + _COS_EPS
+    cols = folds.reshape(-1) + 1    # +1 skips the class row
+    s = decoder_out.data[:, cols]
+    n = np.sqrt((s * s).sum(axis=-1) + np.float32(_COS_EPS))
+    cos = (s * t).sum(axis=-1) / n
+    inv_r = np.float32(1.0 / cos.size)
+    loss = np.float32(1.0) - cos.sum() * inv_r
+
+    def bwd(g):
+        ds = t - s * (cos / n)[..., None]
+        full = np.zeros(decoder_out.shape, np.float32)
+        full[:, cols] = ds * (-g * inv_r / n)[..., None]
+        decoder_out._accumulate(full)
+
+    out = Tensor._result(loss, (decoder_out,), "recon", bwd)
+    return out, 1.0 - float(loss)
 
 
 def cross_entropy(target_rows, predicted):

@@ -65,10 +65,6 @@ class Tensor:
         return self.data.shape
 
     @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
     def size(self):
         return self.data.size
 
@@ -141,8 +137,6 @@ class Tensor:
 
         return self._result(a.data + b.data, (a, b), "add", bwd)
 
-    __radd__ = __add__
-
     def __neg__(self):
         a = self
 
@@ -150,12 +144,6 @@ class Tensor:
             a._accumulate(-g)
 
         return self._result(-a.data, (a,), "neg", bwd)
-
-    def __sub__(self, other):
-        return self + (-ensure_tensor(other))
-
-    def __rsub__(self, other):
-        return ensure_tensor(other) + (-self)
 
     def __mul__(self, other):
         other = ensure_tensor(other)
@@ -168,34 +156,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(g * a.data, b.shape))
 
         return self._result(a.data * b.data, (a, b), "mul", bwd)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = ensure_tensor(other)
-        a, b = self, other
-
-        def bwd(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-        return self._result(a.data / b.data, (a, b), "div", bwd)
-
-    def __pow__(self, exponent):
-        if not isinstance(exponent, (int, float)):
-            raise TypeError("only scalar exponents are supported")
-        a, p = self, np.float32(exponent)
-        out_data = a.data ** p
-
-        def bwd(g):
-            a._accumulate(g * p * a.data ** (p - np.float32(1.0)))
-
-        return self._result(out_data, (a,), "pow", bwd)
-
-    def sqrt(self):
-        return self ** 0.5
 
     def log(self):
         a = self

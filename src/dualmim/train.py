@@ -22,7 +22,7 @@ from .config import TEACHER_SINGLE, TrainConfig
 from .errors import DataError, NumericError
 from .masking import gen_mask, split_folds
 from .optim import AdamW, lr_at
-from .tensor import Tensor, concat, no_grad
+from .tensor import Tensor, no_grad
 from .vit import Decoder, Encoder, Module, ProjectionHead, patchify_batch
 
 METRICS_HEADER = ("epoch,iter,loss_m,loss_c,loss_p,total,"
@@ -155,15 +155,14 @@ class Trainer:
         patch_entropy = class_entropy = 0.0
         match = frozen_match
         if self.pseudo_enabled:
-            masked_rows = dec_out.take(mask.masked_indices + 1, axis=1)
-            student_tokens = concat(
-                [dec_out.take(np.array([0]), axis=1), masked_rows], axis=1)
+            student_tokens = dec_out.take(
+                np.concatenate(([0], mask.masked_indices + 1)), axis=1)
             cls_feat, patch_feat = self.head(student_tokens)
             temp = cfg.sinkhorn.student_temperature
             if w.lambda_p > 0:
                 if match is None:
                     match = pl.nearest_patch_match_batch(
-                        masked_rows.data, teacher_feats)
+                        student_tokens.data[:, 1:], teacher_feats)
                 fold_idx, row_idx = match[0], match[1]
                 b, m = fold_idx.shape
                 f = teacher_feats.shape[2]

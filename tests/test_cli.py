@@ -149,6 +149,13 @@ def _first_byte(blob, value):
     return _edit_bytes(edit, reseal=True)
 
 
+def _first_name_byte(raw):
+    (clen,) = struct.unpack_from("<Q", raw, 12)
+    (slen,) = struct.unpack_from("<Q", raw, 20 + clen)
+    raw[28 + clen + slen + 6] = 0xFF   # past the record count, name length
+    return raw
+
+
 def _flip_payload_bit(raw):
     raw[-5] ^= 0x10   # the last payload byte, just before the trailer
     return raw
@@ -192,6 +199,8 @@ _MALFORMED = {
                         "config is not UTF-8 JSON: Expecting value"),
     "config_not_utf8": (_first_byte("config", 0xFF),
                         "config is not UTF-8 JSON: 'utf-8' codec"),
+    "record_name_not_utf8": (_edit_bytes(_first_name_byte, reseal=True),
+                             "record 0 name is not UTF-8: 'utf-8' codec"),
     "crc_mismatch": (_edit_bytes(_flip_payload_bit, reseal=False),
                      "CRC-32 mismatch"),
     "v1_file": (_edit_bytes(_as_v1, reseal=False),

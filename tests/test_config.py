@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, reject, settings, strategies as st
 
 from dualmim.config import TrainConfig, load_config
 from dualmim.errors import ConfigError
@@ -85,3 +86,55 @@ def test_teacher_temperature_floor():
     cfg.sinkhorn.teacher_temperature = 0.02
     with pytest.raises(ConfigError, match="teacher_temperature"):
         cfg.validate()
+
+
+def _leaves(d, prefix=""):
+    """Dotted path -> default value of every scalar config field."""
+    out = {}
+    for k, v in d.items():
+        if isinstance(v, dict):
+            out.update(_leaves(v, f"{prefix}{k}."))
+        else:
+            out[prefix + k] = v
+    return out
+
+
+_DEFAULTS = _leaves(TrainConfig().to_dict())
+_NUMERIC = sorted(k for k, v in _DEFAULTS.items() if type(v) in (int, float))
+_NAMES = sorted({p for k in _DEFAULTS for p in k.split(".")})
+
+
+@settings(derandomize=True, max_examples=100, deadline=5000, database=None)
+@given(key=st.sampled_from(_NUMERIC), unit=st.floats(0.0, 1.0),
+       small=st.integers(1, 4),
+       fmt=st.sampled_from([repr, "{:e}".format, "{:g}".format]))
+def test_dotted_override_round_trip_properties(key, unit, small, fmt):
+    """A numeric override given as command-line text, in any of Python's
+    float spellings, sets its field to that number, and the config
+    round-trips through to_json/from_json. A value the validation rejects
+    raises ConfigError for the value, never for the key."""
+    is_float = isinstance(_DEFAULTS[key], float)
+    text = fmt(unit) if is_float else str(small)
+    try:
+        cfg = load_config(None, {key: text})
+    except ConfigError as e:
+        assert "unknown config key" not in str(e)
+        reject()
+    node = cfg
+    for part in key.split("."):
+        node = getattr(node, part)
+    assert node == (float(text) if is_float else small)
+    assert TrainConfig.from_json(cfg.to_json()) == cfg
+
+
+@settings(derandomize=True, max_examples=100, deadline=5000, database=None)
+@given(parts=st.lists(st.sampled_from(_NAMES)
+                      | st.from_regex(r"[a-z_]{1,6}", fullmatch=True),
+                      min_size=1, max_size=3))
+def test_unknown_override_key_properties(parts):
+    """Any dotted key that names no scalar field, whether made of real
+    field names, made-up ones or a whole section, raises ConfigError."""
+    key = ".".join(parts)
+    assume(key not in _DEFAULTS)
+    with pytest.raises(ConfigError):
+        load_config(None, {key: "1"})

@@ -1,16 +1,17 @@
 """Each fused transformer op against the composed formula it replaced.
 
 The references below rebuild every op from elementary tape ops (reshape,
-matmul, add, mul, pow, sum, softmax), exactly as the ops were written
-before they became single nodes; GELU, already one node, is compared with
-its out-of-place form. Value and every gradient must agree to 1e-5
-relative to the reference's largest magnitude.
+matmul, add, neg, mul, sum, softmax, and the test-only div and sqrt), as
+the ops were written before they became single nodes; GELU, already one
+node, is compared with its out-of-place form. Value and every gradient
+must agree to 1e-5 relative to the reference's largest magnitude.
 """
 
 import numpy as np
 
 from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
                             layernorm, linear, softmax)
+from tape_ref import div, sqrt
 
 REL = 1e-5
 
@@ -48,14 +49,14 @@ def ref_attention(qkv, num_heads):
 
 def ref_layernorm(x, gamma, beta, eps=1e-6):
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
+    xc = x + (-mu)
     var = (xc * xc).mean(axis=-1, keepdims=True)
-    return xc / (var + eps).sqrt() * gamma + beta
+    return div(xc, sqrt(var + eps)) * gamma + beta
 
 
 def ref_l2_normalize(x, axis=-1, eps=1e-8):
     sq = (x * x).sum(axis=axis, keepdims=True)
-    return x / (sq + eps).sqrt()
+    return div(x, sqrt(sq + eps))
 
 
 def ref_gelu(x):

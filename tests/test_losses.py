@@ -2,13 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dualmim.errors import NumericError
-from dualmim.losses import (CE_CHUNK_ROWS, LossWeights, cosine_recon_loss,
-                            cross_entropy, normalize_targets,
+from dualmim.losses import (CE_CHUNK_ROWS, LossWeights, cross_entropy,
+                            normalize_targets, recon_loss,
                             tempered_cross_entropy, total_loss)
 from dualmim.pseudolabel import student_assign
 from dualmim.tensor import Tensor
+
+from tape_ref import cosine_recon_loss
 
 
 def test_normalize_constant_row_is_zero():
@@ -56,6 +59,40 @@ def test_cosine_loss_matches_double_loop():
             sv, tv = s[b, i].astype(np.float64), t[b, i].astype(np.float64)
             acc += 1.0 - sv @ tv / (np.linalg.norm(sv) * np.linalg.norm(tv))
     assert abs(loss - acc / 12) < 1e-5
+
+
+@settings(derandomize=True, max_examples=60, deadline=10000, database=None)
+@given(b=st.integers(1, 5), k=st.integers(1, 4), f=st.integers(1, 5),
+       spare=st.integers(0, 3), d=st.integers(1, 24),
+       s_scale=st.floats(1e-3, 1e3), t_scale=st.floats(1e-3, 1e3),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_recon_loss_matches_composite_properties(b, k, f, spare, d, s_scale,
+                                                 t_scale, seed):
+    """The fused node against the composite of elementary nodes, for any
+    shapes and scales, with a zero student row and a constant teacher row:
+    the loss within 1e-6, decoder_out.grad within 1e-5 of its largest
+    magnitude, and one tape node whose only parent is the decoder output."""
+    rng = np.random.default_rng(seed)
+    n = k * f + spare
+    x = (s_scale * rng.standard_normal((b, n + 1, d))).astype(np.float32)
+    tokens = (t_scale * rng.standard_normal((k, b, f, d))).astype(np.float32)
+    folds = rng.permutation(n)[:k * f].reshape(k, f)
+    x[0, folds[0, 0] + 1] = 0.0          # a zero student row
+    tokens[-1, -1, -1] = t_scale         # a constant teacher row
+    fused = Tensor(x, requires_grad=True)
+    loss, mean_cos = recon_loss(fused, tokens, folds)
+    assert loss._op == "recon" and loss._parents == (fused,)
+    loss.backward()
+    composed = Tensor(x, requires_grad=True)
+    targets = normalize_targets(tokens).transpose(1, 0, 2, 3).reshape(
+        b, k * f, d)
+    ref = cosine_recon_loss(composed.take(folds.reshape(-1) + 1, axis=1),
+                            targets)
+    ref.backward()
+    assert abs(float(loss.data) - float(ref.data)) <= 1e-6
+    assert abs(mean_cos - (1.0 - float(ref.data))) <= 1e-6
+    scale = np.abs(composed.grad).max()
+    assert np.abs(fused.grad - composed.grad).max() <= 1e-5 * scale
 
 
 def test_pseudo_loss_uniform_is_log_k():
@@ -145,6 +182,22 @@ def test_fused_ce_matches_composed_across_chunks():
         assert abs(lf - lc) < 1e-5 * max(1.0, abs(lc))
         assert np.abs(xf - xc).max() < 1e-5
         assert np.abs(wf - wc).max() < 1e-5
+
+
+@settings(derandomize=True, max_examples=25, deadline=20000, database=None)
+@given(rows=st.integers(1, 2 * CE_CHUNK_ROWS + 40), hidden=st.integers(1, 8),
+       kc=st.integers(2, 64), temperature=st.floats(0.5, 2.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_ce_matches_composed_properties(rows, hidden, kc, temperature,
+                                              seed):
+    """Any row count, on either side of the chunk boundaries: the fused op
+    against cross_entropy(p, student_assign(x @ w, T)). Unit features and
+    columns at T >= 0.5 keep every q far above LOG_EPS."""
+    (lf, xf, wf), (lc, xc, wc) = _fused_vs_composed(rows, hidden, kc,
+                                                   temperature, seed)
+    assert abs(lf - lc) < 1e-5 * max(1.0, abs(lc))
+    assert np.abs(xf - xc).max() < 1e-5
+    assert np.abs(wf - wc).max() < 1e-5
 
 
 def test_fused_ce_without_grad_stays_off_tape():
