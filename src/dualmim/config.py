@@ -142,17 +142,34 @@ def _build(dc_type, d, path):
         where = f"{path}.{name}".lstrip(".")
         if dataclasses.is_dataclass(f.type):
             kwargs[name] = _build(f.type, val, where)
-        elif isinstance(val, list):
-            kwargs[name] = tuple(val)
-        elif f.type is float and isinstance(val, str):
-            try:    # YAML 1.1 reads an exponent without a dot, 1e-4, as text
-                kwargs[name] = float(val)
-            except ValueError:
-                raise ConfigError(
-                    f"'{where}' must be a number, got {val!r}") from None
         else:
-            kwargs[name] = val
+            kwargs[name] = _scalar(f, val, where)
     return dc_type(**kwargs)
+
+
+_KINDS = {int: "an integer", float: "a number", bool: "true or false",
+          str: "text", tuple: "a list"}
+
+
+def _scalar(f, val, where):
+    """`val` as the value of the scalar field `f`, or ConfigError when it
+    does not fit the field's annotation. bool is not taken for a number."""
+    if f.type is tuple:
+        if isinstance(val, (list, tuple)):
+            return tuple(val)
+        if val is None and f.default is None:
+            return None
+    elif f.type is float and isinstance(val, str):
+        try:    # YAML 1.1 reads an exponent without a dot, 1e-4, as text
+            return float(val)
+        except ValueError:
+            pass
+    elif f.type is float:
+        if type(val) in (int, float):   # an int stays an int in to_json
+            return val
+    elif type(val) is f.type:
+        return val
+    raise ConfigError(f"'{where}' must be {_KINDS[f.type]}, got {val!r}")
 
 
 def load_config(path=None, overrides=None):

@@ -1,8 +1,12 @@
 """Dense float32 tensors with reverse-mode automatic differentiation.
 
 Define-by-run: every op on tensors that require grad records a backward
-closure; the graph is rebuilt on each forward pass and discarded after
-``backward()``. Single-threaded; one graph belongs to one training step.
+closure; the graph is rebuilt on each forward pass. ``backward()`` frees
+each node's closure, with the activations it saved, and the node's
+gradient as soon as the closure has run; only leaves keep a gradient. A
+second ``backward()`` through the same graph, or through a node it shares
+with one already walked, raises RuntimeError. Single-threaded; one graph
+belongs to one training step.
 Inside ``no_grad()`` no op records anything, so frozen inference keeps no
 tape alive.
 
@@ -97,9 +101,11 @@ class Tensor:
             self._grad_owned = True
 
     def backward(self):
-        """Populate `grad` of every requires_grad tensor reachable from here.
+        """Populate `grad` of every requires_grad leaf reachable from here.
 
-        `self` must be a scalar (size 1) loss.
+        `self` must be a scalar (size 1) loss. Each node with parents drops
+        its closure and its gradient once its closure has run, so the graph
+        can be walked only once: a second walk raises RuntimeError.
         """
         if self.size != 1:
             raise ValueError(f"backward() needs a scalar loss, got shape {self.shape}")
@@ -120,8 +126,15 @@ class Tensor:
                     stack.append((p, False))
         self._accumulate(np.ones_like(self.data))
         for node in reversed(order):
-            if node._backward is not None and node.grad is not None:
+            if not node._parents:
+                continue    # a leaf keeps its gradient
+            if node._backward is None:
+                raise RuntimeError("backward through a released graph")
+            if node.grad is not None:
                 node._backward(node.grad)
+            # every consumer has passed its gradient on: free the closure's
+            # saved activations and this node's gradient
+            node._backward = node.grad = None
 
     # -- elementwise arithmetic -------------------------------------------
 

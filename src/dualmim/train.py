@@ -222,6 +222,9 @@ class Trainer:
         dp_rng = _stream(cfg.seed, epoch, it_in_epoch, _RNG_DROPPATH)
         self.optimizer.zero_grad()
         report, _ = self.compute_loss(batch, *ctx, train=True, dp_rng=dp_rng)
+        # the teacher targets are read only in the forward: free them
+        # (patch_rows alone is [K*B*F, K_c]) before backward fills the grads
+        del ctx
         lr = lr_at(self.global_iter, self.total_iters, self.warmup_iters,
                    cfg.optim.lr)
         if report.total_tensor.requires_grad:
@@ -235,7 +238,8 @@ class Trainer:
             self.optimizer.step(lr)
             if self.head is not None:
                 self.head.normalize_prototypes()
-        # the total holds the whole tape; drop it before the next step
+        # backward has freed the closures and inner gradients; the total
+        # still holds the forward outputs, so drop it before the next step
         report.total_tensor = None
         # teacher EMA strictly after the optimizer step
         for st in self.teachers.values():

@@ -72,6 +72,14 @@ def test_teacher_temperature_below_floor_exit_code_2(tmp_path, data_file):
     assert rc == 2
 
 
+def test_override_of_wrong_type_exit_code_2(tmp_path, data_file, capsys):
+    rc = main(["pretrain", "--data-dir", data_file,
+               "--out", str(tmp_path / "x")]
+              + TINY + ["--optim.batch_size", "2.5"])
+    assert rc == 2
+    assert "'optim.batch_size' must be an integer" in capsys.readouterr().err
+
+
 def test_unknown_override_exit_code_2(tmp_path, data_file):
     rc = main(["pretrain", "--data-dir", data_file,
                "--out", str(tmp_path / "x"), "--optim.nonsense", "1"])

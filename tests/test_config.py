@@ -88,6 +88,47 @@ def test_teacher_temperature_floor():
         cfg.validate()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"optim.lr": "[1, 2]"},
+    {"optim.lr": "{x: 1}"},
+    {"optim.lr": "true"},
+    {"optim.lr": "fast"},
+    {"optim.batch_size": "2.5"},
+    {"optim.batch_size": "true"},
+    {"seed": "[3]"},
+    {"multifold_pseudo_labeling": "1"},
+    {"teacher_mode": "2"},
+    {"augment.crop_scale": "0.5"},
+    {"augment.crop_scale": "null"},
+])
+def test_value_not_fitting_its_field_rejected(overrides):
+    (key,) = overrides
+    with pytest.raises(ConfigError, match=f"'{key}' must be"):
+        load_config(None, overrides)
+
+
+def test_yaml_value_not_fitting_its_field_rejected(tmp_path):
+    p = tmp_path / "run.yaml"
+    p.write_text("optim:\n  lr:\n    x: 1\n")
+    with pytest.raises(ConfigError, match="'optim.lr' must be a number"):
+        load_config(str(p))
+
+
+def test_values_fitting_their_fields_accepted():
+    cfg = load_config(None, {"optim.lr": "1", "optim.batch_size": "64",
+                             "multifold_pseudo_labeling": "false",
+                             "augment.crop_scale": "[0.5, 1]",
+                             "model.hierarchical_layers": "[2, 4]"})
+    # a float field keeps an int as given, so the JSON form is unchanged
+    assert type(cfg.optim.lr) is int and '"lr": 1,' in cfg.to_json()
+    assert cfg.optim.batch_size == 64
+    assert cfg.multifold_pseudo_labeling is False
+    assert cfg.augment.crop_scale == (0.5, 1)
+    assert cfg.model.hierarchical_layers == (2, 4)
+    assert load_config(None, {"model.hierarchical_layers": "null"}) == TrainConfig()
+    assert TrainConfig.from_json(cfg.to_json()) == cfg
+
+
 def _leaves(d, prefix=""):
     """Dotted path -> default value of every scalar config field."""
     out = {}

@@ -128,6 +128,95 @@ def test_composite_two_blocks_backward():
     assert worst <= 1.0, f"worst violation {worst:.3f}"
 
 
+def _two_block_loss(seed):
+    """A fresh 2-block graph on fixed inputs: (loss, {name: leaf})."""
+    cfg = ViTConfig(embed_dim=8, depth=2, num_heads=2)
+    rng = np.random.default_rng(seed)
+    blocks = [Block(rng, cfg.embed_dim, cfg.num_heads, cfg.mlp_ratio)
+              for _ in range(2)]
+    x = Tensor(rng.standard_normal((2, 5, 8)).astype(np.float32),
+               requires_grad=True)
+    leaves = {"x": x}
+    h = x
+    for i, blk in enumerate(blocks):
+        leaves |= {f"b{i}.{k}": v for k, v in blk.params().items()}
+        h = blk(h)
+    return (h * h).mean() + h.take(np.array([0, 3]), axis=1).sum(), leaves
+
+
+def _graph_nodes(loss):
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            nodes.append(node)
+            stack.extend(node._parents)
+    return nodes
+
+
+def _backward_keeping_graph(loss):
+    """Reference walk: the engine's order (the accumulation order fixes the
+    float32 sums), running every closure and freeing nothing."""
+    order, seen, stack = [], set(), [(loss, False)]
+    while stack:
+        node, expanded = stack.pop()
+        if expanded:
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((p, False) for p in node._parents
+                         if id(p) not in seen and p.requires_grad)
+    loss._accumulate(np.ones_like(loss.data))
+    for node in reversed(order):
+        if node._backward is not None and node.grad is not None:
+            node._backward(node.grad)
+
+
+def test_backward_releases_inner_nodes_and_keeps_leaf_grads():
+    loss, leaves = _two_block_loss(seed=9)
+    nodes = _graph_nodes(loss)
+    inner = [n for n in nodes if n._parents]
+    assert len(inner) > 20 and all(n._backward is not None for n in inner)
+    loss.backward()
+    assert all(n.grad is None and n._backward is None for n in inner)
+
+    ref_loss, ref_leaves = _two_block_loss(seed=9)
+    _backward_keeping_graph(ref_loss)
+    # the reference kept its graph: the release is what frees it
+    assert all(n._backward is not None for n in _graph_nodes(ref_loss)
+               if n._parents)
+    for name, leaf in leaves.items():
+        assert leaf.grad is not None, name
+        assert leaf.grad.tobytes() == ref_leaves[name].grad.tobytes(), name
+
+
+def test_second_backward_over_one_graph_raises():
+    loss, leaves = _two_block_loss(seed=10)
+    loss.backward()
+    grads = {k: v.grad.copy() for k, v in leaves.items()}
+    with pytest.raises(RuntimeError, match="released graph"):
+        loss.backward()
+    # the failed walk reached no leaf
+    assert all(np.array_equal(leaves[k].grad, g) for k, g in grads.items())
+
+
+def test_backward_into_a_walked_graph_raises():
+    x = Tensor(np.arange(6, dtype=np.float32).reshape(2, 3),
+               requires_grad=True)
+    h = gelu(x * 2.0)
+    h.sum().backward()
+    assert x.grad is not None and h.grad is None
+    # a second loss built on h shares the released nodes
+    with pytest.raises(RuntimeError, match="released graph"):
+        (h * h).mean().backward()
+    # a fresh graph on the same leaf still walks
+    x.grad = None
+    (x * x).sum().backward()
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
 def test_elementwise_grads():
     rng = np.random.default_rng(6)
     x = Tensor(0.5 * rng.standard_normal(16).astype(np.float32), requires_grad=True)

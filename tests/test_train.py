@@ -270,6 +270,30 @@ def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
     assert seen[0]() is None
 
 
+def test_train_step_frees_teacher_targets_before_backward(tiny_ds,
+                                                          monkeypatch):
+    cfg = _tiny_cfg()
+    assert cfg.loss.lambda_p > 0
+    trainer = Trainer(cfg, iters_per_epoch=len(tiny_ds) // 8)
+    targets, alive_at_backward = [], []
+    prepare, backward = Trainer.prepare_step, Tensor.backward
+
+    def prepare_spy(self, *args):
+        ctx = prepare(self, *args)
+        targets.append(weakref.ref(ctx[3].patch_rows))
+        return ctx
+
+    def backward_spy(self):
+        alive_at_backward.append(targets[-1]() is not None)
+        return backward(self)
+
+    monkeypatch.setattr(Trainer, "prepare_step", prepare_spy)
+    monkeypatch.setattr(Tensor, "backward", backward_spy)
+    batch = make_batch(tiny_ds, np.arange(8), cfg.seed, 0, cfg.augment)
+    trainer.train_step(batch, 0, 0)
+    assert alive_at_backward == [False]
+
+
 def test_eval_derives_class_count_from_labels(tiny_ds):
     cfg = _tiny_cfg()
     enc = Encoder(cfg.model, np.random.default_rng(7))
