@@ -151,7 +151,7 @@ def op_suite(seed=0):
     target_rows = rng.integers(0, 7, rows)
     results.append(("tempered_cross_entropy", check_grads(
         lambda: losses_mod.tempered_cross_entropy(
-            table, target_rows, x, w, 0.25) * 0.25,
+            [(table, target_rows, np.arange(rows))], x, w, 0.25) * 0.25,
         {"feats": x, "weight": w})))
 
     return results

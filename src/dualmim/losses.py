@@ -92,55 +92,60 @@ def cross_entropy(target_rows, predicted):
     return ce * (1.0 / rows)
 
 
-def tempered_cross_entropy(targets, target_rows, feats, weight, temperature):
+def tempered_cross_entropy(groups, feats, weight, temperature):
     """cross_entropy(p, student_assign(feats @ weight, T)) as one fused op.
 
-    `targets`: [N, K_c] table of target distributions (constants);
-    `target_rows`: [R] row of `targets` for each feature row;
+    `groups`: (table, table_rows, feat_rows) triples, each a [N, K_c]
+    table of target distributions (constants) and the table row of each
+    of its feature rows; every row of `feats` sits in one group. Groups
+    are read in turn, so a generator keeps one table alive at a time;
     `feats`: [R, hidden] Tensor (L2-normalized trunk features);
     `weight`: [hidden, K_c] Tensor (the prototype matrix).
 
     The scores are [R, K_c] with K_c in the thousands, so they are never
-    stored: rows stream in chunks of CE_CHUNK_ROWS (chunk scores, row max,
-    exp, row sum), and each row adds psum*log(denom) - p.z, with z the
-    max-shifted logits, so log q is never formed either. While a chunk is
-    hot, its closed-form score gradient (q*psum - p) / (T*R) is pushed
-    through the GEMM to the feature rows and the weight; backward only
-    scales those by the upstream gradient. Matches the composed form up to
-    its LOG_EPS guard (exact log-softmax needs no guard).
+    stored: each group's rows stream in chunks of CE_CHUNK_ROWS (chunk
+    scores, row max, exp, row sum), and each row adds psum*log(denom) -
+    p.z, with z the max-shifted logits, so log q is never formed either.
+    While a chunk is hot, its closed-form score gradient (q*psum - p) /
+    (T*R) is pushed through the GEMM to its feature rows and the weight;
+    backward only scales those by the upstream gradient. Matches the
+    composed form up to its LOG_EPS guard (exact log-softmax needs none).
     """
-    table = np.asarray(targets, dtype=np.float32)
-    rows = np.asarray(target_rows, dtype=np.intp)
     x = feats if isinstance(feats, Tensor) else Tensor(feats)
     w = weight if isinstance(weight, Tensor) else Tensor(weight)
     n, kc = x.shape[0], w.shape[1]
     inv_t = np.float32(1.0 / temperature)
     w_t = w.data * inv_t    # logits = feats @ (weight / T)
-    grad_x = np.empty_like(x.data) if x.requires_grad else None
+    grad_x = np.zeros_like(x.data) if x.requires_grad else None
     grad_w = np.zeros_like(w.data) if w.requires_grad else None
-    chunk = min(n, CE_CHUNK_ROWS)
-    z_buf = np.empty((chunk, kc), np.float32)
-    total = 0.0
-    for lo in range(0, n, chunk):
-        hi = min(lo + chunk, n)
-        xc = x.data[lo:hi]
-        z = np.matmul(xc, w_t, out=z_buf[:hi - lo])
-        z -= z.max(axis=1, keepdims=True)
-        p = table[rows[lo:hi]]
-        # float32 row sums (pairwise), float64 from there on
-        psum = p.sum(axis=1).astype(np.float64)
-        pz = np.einsum("ij,ij->i", p, z)
-        e = np.exp(z, out=z)
-        denom = e.sum(axis=1).astype(np.float64)
-        total += float(psum @ np.log(denom) - pz.sum(dtype=np.float64))
-        if grad_x is None and grad_w is None:
-            continue
-        e *= (psum / denom).astype(np.float32)[:, None]
-        e -= p    # (q*psum - p), the logit gradient times R
-        if grad_x is not None:
-            np.matmul(e, w_t.T, out=grad_x[lo:hi])
-        if grad_w is not None:
-            grad_w += xc.T @ e
+    z_buf = np.empty((min(n, CE_CHUNK_ROWS), kc), np.float32)
+    total, seen = 0.0, 0
+    for table, table_rows, feat_rows in groups:
+        table = np.asarray(table, dtype=np.float32)
+        seen += len(feat_rows)
+        for lo in range(0, len(feat_rows), CE_CHUNK_ROWS):
+            at = feat_rows[lo:lo + CE_CHUNK_ROWS]
+            xc = x.data[at]
+            z = np.matmul(xc, w_t, out=z_buf[:len(at)])
+            z -= z.max(axis=1, keepdims=True)
+            p = table[table_rows[lo:lo + CE_CHUNK_ROWS]]
+            # float32 row sums (pairwise), float64 from there on
+            psum = p.sum(axis=1).astype(np.float64)
+            pz = np.einsum("ij,ij->i", p, z)
+            e = np.exp(z, out=z)
+            denom = e.sum(axis=1).astype(np.float64)
+            total += float(psum @ np.log(denom) - pz.sum(dtype=np.float64))
+            if grad_x is None and grad_w is None:
+                continue
+            e *= (psum / denom).astype(np.float32)[:, None]
+            e -= p    # (q*psum - p), the logit gradient times R
+            if grad_x is not None:
+                grad_x[at] = e @ w_t.T
+            if grad_w is not None:
+                grad_w += xc.T @ e
+    if seen != n:
+        raise ValueError(f"tempered_cross_entropy: groups hold {seen} "
+                         f"rows of {n}")
     inv_n = np.float32(1.0 / n)
     if grad_x is not None:
         grad_x *= inv_n

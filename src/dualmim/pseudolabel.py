@@ -1,13 +1,12 @@
 """Pseudo labels from prototype scores.
 
 Teacher scores pass through Sinkhorn normalization (batch-balanced, no
-gradients); student scores pass through a tempered softmax on the tape.
-Because student and pseudo-labeling teacher see differently-augmented
-views, each masked student position is matched to its cosine-closest
-teacher patch across all folds before the patch loss is applied.
+gradients), one fold at a time; the student's scores meet those targets in
+the fused cross entropy `losses.tempered_cross_entropy`. Because student
+and pseudo-labeling teacher see differently-augmented views, each masked
+student position is matched to its cosine-closest teacher patch across all
+folds before the patch loss is applied.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -18,18 +17,6 @@ from .tensor import softmax
 # Sinkhorn rejects a span over SPREAD_T; exp(-84) is still a normal float32.
 TEMPERATURE_FLOOR = 0.025
 SPREAD_T = 84.0
-
-
-@dataclass
-class FoldTargets:
-    """Sinkhorn targets of every fold, fold-major.
-
-    The patch row of fold k, image b, fold position f is
-    `(k * B + b) * F + f`.
-    """
-    patch_rows: np.ndarray   # [K * B * F, K_c]
-    cls: np.ndarray          # [K, B, K_c] class-token assignments
-    patch_entropy: float     # mean row entropy (nats) of the patch targets
 
 
 def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
@@ -95,29 +82,13 @@ def student_assign(scores, temperature):
     return softmax(scores * (1.0 / temperature), axis=-1)
 
 
-def teacher_targets(class_feats, patch_feats, class_weight, patch_weight,
-                    n_iters, temperature):
-    """Sinkhorn targets per fold, from head features and prototypes.
-
-    `class_feats`: [K, B, hidden]; `patch_feats`: [K, B, F, hidden]; the
-    scores are `feats @ weight` with the [hidden, K_c] `class_weight` and
-    `patch_weight`. Sinkhorn runs across the batch dimension, folds kept
-    separate; patch rows of one fold are balanced jointly across batch and
-    position. Every fold is written into one preallocated fold-major array.
-    """
-    k, b, f, _ = patch_feats.shape
-    rows = np.empty((k, b * f, patch_weight.shape[1]), np.float32)
-    cls = np.empty((k, b, class_weight.shape[1]), np.float32)
-    entropies = []
-    for i in range(k):
-        sinkhorn_normalize(class_feats[i], class_weight, n_iters, temperature,
-                           out=cls[i])
-        _, ent = sinkhorn_normalize(patch_feats[i].reshape(b * f, -1),
-                                    patch_weight, n_iters, temperature,
-                                    out=rows[i])
-        entropies.append(ent)
-    return FoldTargets(patch_rows=rows.reshape(k * b * f, -1), cls=cls,
-                       patch_entropy=float(np.mean(entropies)))
+def teacher_targets(feats, weight, n_iters, temperature, out=None):
+    """Sinkhorn targets of one fold's [B, hidden] class or [B, F, hidden]
+    patch head features against the [hidden, K_c] prototypes `weight`:
+    (Q [B or B*F, K_c], mean row entropy), balanced jointly across batch
+    and position, into `out` if given."""
+    return sinkhorn_normalize(feats.reshape(-1, feats.shape[-1]), weight,
+                              n_iters, temperature, out=out)
 
 
 def _unit_rows(x):

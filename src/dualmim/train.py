@@ -127,14 +127,14 @@ class Trainer:
                 cls_feats[i], patch_feats[i] = cf.data, pf.data
         return tokens, cls_feats, patch_feats
 
-    def compute_loss(self, batch, mask, folds, rec_tokens, assignments,
-                     teacher_feats, frozen_match=None, train=True,
-                     dp_rng=None):
+    def compute_loss(self, batch, mask, folds, rec_tokens, teacher_feats,
+                     class_target, patch_feats, patch_weight,
+                     frozen_match=None, train=True, dp_rng=None):
         """Student forward + all enabled loss terms.
 
-        Everything teacher-side arrives precomputed as constants:
-        `assignments` is the teacher's pl.FoldTargets and `teacher_feats`
-        its [K, B, F, D] patch tokens. With `frozen_match` set, the
+        Everything teacher-side arrives precomputed as constants (see
+        `prepare_step`); `patch_loss` makes the patch targets from the
+        head's patch features and prototypes. With `frozen_match` set, the
         patch-target matching from a previous call is reused
         (finite-difference checks need the argmin frozen).
         """
@@ -158,27 +158,19 @@ class Trainer:
             student_tokens = dec_out.take(
                 np.concatenate(([0], mask.masked_indices + 1)), axis=1)
             cls_feat, patch_feat = self.head(student_tokens)
-            temp = cfg.sinkhorn.student_temperature
             if w.lambda_p > 0:
                 if match is None:
                     match = pl.nearest_patch_match_batch(
                         student_tokens.data[:, 1:], teacher_feats)
-                fold_idx, row_idx = match[0], match[1]
-                b, m = fold_idx.shape
-                f = teacher_feats.shape[2]
-                # row of the fold-major target table per student position
-                rows = (fold_idx * b + np.arange(b)[:, None]) * f + row_idx
-                loss_p = losses_mod.tempered_cross_entropy(
-                    assignments.patch_rows, rows.reshape(-1),
-                    patch_feat.reshape((b * m, -1)),
-                    self.head.patch_out.w, temp)
-                patch_entropy = assignments.patch_entropy
+                loss_p, patch_entropy = patch_loss(
+                    patch_feat, self.head.patch_out.w, match, patch_feats,
+                    patch_weight, cfg.sinkhorn)
             if w.lambda_c > 0:
-                c_target = assignments.cls.mean(axis=0)
+                rows = np.arange(class_target.shape[0])
                 loss_c = losses_mod.tempered_cross_entropy(
-                    c_target, np.arange(c_target.shape[0]), cls_feat,
-                    self.head.class_out.w, temp)
-                class_entropy = pl.mean_row_entropy(c_target)
+                    [(class_target, rows, rows)], cls_feat,
+                    self.head.class_out.w, cfg.sinkhorn.student_temperature)
+                class_entropy = pl.mean_row_entropy(class_target)
 
         report = losses_mod.total_loss(
             w, loss_m=loss_m, loss_c=loss_c, loss_p=loss_p,
@@ -187,7 +179,9 @@ class Trainer:
         return report, match
 
     def prepare_step(self, batch, epoch, it_in_epoch):
-        """Mask, folds, and every teacher-side constant for one iteration."""
+        """Mask, folds, and every teacher-side constant for one iteration:
+        (mask, folds, rec_tokens, [K, B, F, D] teacher_feats, [B, K_c]
+        class_target, [K, B, F, hidden] patch_feats, patch_weight)."""
         cfg = self.cfg
         n = cfg.model.num_patches
         mask = gen_mask(n, cfg.masking.ratio,
@@ -196,24 +190,27 @@ class Trainer:
                             _stream(cfg.seed, epoch, it_in_epoch, _RNG_FOLD))
 
         p = cfg.model.patch_size
-        rec_tokens = assignments = teacher_feats = None
+        rec_tokens = None
         if cfg.loss.lambda_m > 0:
             rec_tokens, _, _ = self._teacher_fold_tokens(
                 self.t_rec.encoder, patchify_batch(batch.simple, p), folds)
-        if self.pseudo_enabled:
-            pseudo_folds = (folds if cfg.multifold_pseudo_labeling
-                            else folds.reshape(1, -1))
-            view = (batch.complex if cfg.augmentation_mode == "dual"
-                    else batch.simple)
-            head = self.t_cl.head
-            teacher_feats, cls_feats, patch_feats = self._teacher_fold_tokens(
-                self.t_cl.encoder, patchify_batch(view, p), pseudo_folds, head)
-            # Sinkhorn forms the scores against the prototypes into its output
-            sk = cfg.sinkhorn
-            assignments = pl.teacher_targets(
-                cls_feats, patch_feats, head.class_out.w.data,
-                head.patch_out.w.data, sk.n_iters, sk.teacher_temperature)
-        return mask, folds, rec_tokens, assignments, teacher_feats
+        if not self.pseudo_enabled:
+            return mask, folds, rec_tokens, None, None, None, None
+        pseudo_folds = (folds if cfg.multifold_pseudo_labeling
+                        else folds.reshape(1, -1))
+        view = (batch.complex if cfg.augmentation_mode == "dual"
+                else batch.simple)
+        head = self.t_cl.head
+        teacher_feats, cls_feats, patch_feats = self._teacher_fold_tokens(
+            self.t_cl.encoder, patchify_batch(view, p), pseudo_folds, head)
+        # the fold mean of the class targets; `patch_loss` makes the patch
+        # targets fold by fold
+        sk = cfg.sinkhorn
+        class_target = np.mean([pl.teacher_targets(
+            c, head.class_out.w.data, sk.n_iters, sk.teacher_temperature)[0]
+            for c in cls_feats], axis=0)
+        return (mask, folds, rec_tokens, teacher_feats, class_target,
+                patch_feats, head.patch_out.w.data)
 
     def train_step(self, batch, epoch, it_in_epoch, at_epoch_end=False):
         """One optimization step; returns (LossReport, m_rec, m_cl, lr)."""
@@ -222,8 +219,7 @@ class Trainer:
         dp_rng = _stream(cfg.seed, epoch, it_in_epoch, _RNG_DROPPATH)
         self.optimizer.zero_grad()
         report, _ = self.compute_loss(batch, *ctx, train=True, dp_rng=dp_rng)
-        # the teacher targets are read only in the forward: free them
-        # (patch_rows alone is [K*B*F, K_c]) before backward fills the grads
+        # the teacher-side constants are read only in the forward
         del ctx
         lr = lr_at(self.global_iter, self.total_iters, self.warmup_iters,
                    cfg.optim.lr)
@@ -309,6 +305,33 @@ class Trainer:
         if tr.t_cl is not None:
             tr.t_cl.update_count = need("t_cl_updates")
         return tr
+
+
+def patch_loss(feats, weight, match, teacher_feats, teacher_weight, sk):
+    """The patch loss of the student's [B, M, hidden] `feats` against
+    prototypes `weight`, and the mean entropy of its targets.
+
+    Fold k's Sinkhorn targets, from the teacher head's [K, B, F, hidden]
+    `teacher_feats` and its prototypes, are made when the cross entropy
+    reaches the student rows `match` puts in fold k, into one [B*F, K_c]
+    buffer that every fold reuses.
+    """
+    b, m = match[0].shape
+    f = teacher_feats.shape[2]
+    table = np.empty((b * f, teacher_weight.shape[1]), np.float32)
+    entropies = []
+
+    def groups():
+        for i, fold in enumerate(teacher_feats):
+            _, ent = pl.teacher_targets(fold, teacher_weight, sk.n_iters,
+                                        sk.teacher_temperature, out=table)
+            entropies.append(ent)
+            at = np.flatnonzero(match[0] == i)    # student rows in fold i
+            yield table, at // m * f + np.take(match[1], at), at
+
+    loss = losses_mod.tempered_cross_entropy(
+        groups(), feats.reshape((b * m, -1)), weight, sk.student_temperature)
+    return loss, float(np.mean(entropies))
 
 
 # -- the pretraining entry point ---------------------------------------------

@@ -15,6 +15,8 @@ parameters.
 
 import numpy as np
 
+from dualmim.pseudolabel import teacher_targets
+
 _GELU_C = np.sqrt(2.0 / np.pi)
 _GELU_A = 0.044715
 _LN_EPS = 1e-6
@@ -78,7 +80,8 @@ class OracleLoss:
 
     def __init__(self, trainer, batch, ctx, match):
         cfg = trainer.cfg
-        mask, folds, rec_tokens, assignments, _ = ctx
+        (mask, folds, rec_tokens, _, class_target, patch_feats,
+         patch_weight) = ctx
         self.cfg = cfg
         self.vis = np.asarray(mask.visible_indices)
         self.msk = np.asarray(mask.masked_indices)
@@ -95,13 +98,16 @@ class OracleLoss:
         self.rec_unit = std / (np.linalg.norm(std, axis=-1, keepdims=True)
                                + _COS_EPS)
         self.rec_positions = positions
-        # frozen pseudo-label targets
-        k, b, kc = assignments.cls.shape
-        stacked = assignments.patch_rows.reshape(k, b, -1, kc).astype(
-            np.float64)
+        # frozen pseudo-label targets: each fold's Sinkhorn patch targets,
+        # read at the matched (fold, image, row)
+        sk = cfg.sinkhorn
+        k, b, f, _ = patch_feats.shape
+        stacked = np.stack([teacher_targets(
+            fold, patch_weight, sk.n_iters, sk.teacher_temperature)[0]
+            for fold in patch_feats]).reshape(k, b, f, -1).astype(np.float64)
         fold_idx, row_idx = match[0], match[1]
         self.patch_target = stacked[fold_idx, np.arange(b)[:, None], row_idx]
-        self.class_target = assignments.cls.mean(axis=0).astype(np.float64)
+        self.class_target = class_target.astype(np.float64)
         self.params = {k: v.data.astype(np.float64)
                        for k, v in trainer.student_params.items()}
 

@@ -1,14 +1,16 @@
-"""Elementary tape nodes that only the test references need.
+"""Elementary tape nodes and reference layouts that only the tests need.
 
 The runtime builds its losses and transformer ops as single fused nodes,
 so it has no division or square root on the tape. The composed references
 the fused ops are checked against are built from these nodes plus the
-runtime's add, neg, mul, sum and mean.
+runtime's add, neg, mul, sum and mean. The patch loss, which the runtime
+streams fold by fold, is checked against one fold-major target table.
 """
 
 import numpy as np
 
-from dualmim.losses import _COS_EPS
+from dualmim.losses import _COS_EPS, tempered_cross_entropy
+from dualmim.pseudolabel import sinkhorn_normalize
 from dualmim.tensor import Tensor, _unbroadcast, ensure_tensor
 
 
@@ -47,3 +49,26 @@ def cosine_recon_loss(student_rows, target_rows):
     s_norm = sqrt((student_rows * student_rows).sum(axis=-1) + _COS_EPS)
     cos = div((student_rows * Tensor(t_unit)).sum(axis=-1), s_norm)
     return -cos.mean() + 1.0
+
+
+def fold_major_patch_loss(feats, weight, match, teacher_feats,
+                          teacher_weight, sk):
+    """`train.patch_loss` over one table of every fold's targets.
+
+    The Sinkhorn targets of all K folds are stacked fold-major as
+    [K*B*F, K_c]: the student row at image b, masked position m, matched
+    to (fold, row), reads table row (fold*B + b)*F + row. One group of all
+    B*M rows, in (b, m) order. Returns (loss Tensor, mean fold entropy).
+    """
+    k, b, f, _ = teacher_feats.shape
+    folds = [sinkhorn_normalize(t.reshape(b * f, -1), teacher_weight,
+                                sk.n_iters, sk.teacher_temperature)
+             for t in teacher_feats]
+    table = np.concatenate([q for q, _ in folds])
+    fold_idx, row_idx = match[0], match[1]
+    m = fold_idx.shape[1]
+    rows = (fold_idx * b + np.arange(b)[:, None]) * f + row_idx
+    loss = tempered_cross_entropy(
+        [(table, rows.reshape(-1), np.arange(b * m))],
+        feats.reshape((b * m, -1)), weight, sk.student_temperature)
+    return loss, float(np.mean([ent for _, ent in folds]))

@@ -8,6 +8,7 @@ budgets on a single CPU core.
 
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +30,12 @@ from dualmim.vit import patchify_batch
 
 from f64_oracle import OracleLoss, oracle_finite_diff
 from tiny_model import composed_setup, tiny_config
+
+
+def _metric_rows(run_dir):
+    """The rows of a run's metrics.csv, split on commas."""
+    with open(os.path.join(run_dir, "metrics.csv")) as fh:
+        return [line.split(",") for line in fh if line[0].isdigit()]
 
 
 def _verdict(n, ok, detail):
@@ -212,8 +219,7 @@ def test_criterion_6_training_descent(tmp_path, synth_2k):
     t0 = time.time()
     pretrain(cfg, synth_2k, out, max_iters=200)
     dt = time.time() - t0
-    rows = [l.split(",") for l in open(os.path.join(out, "metrics.csv"))
-            if l[0].isdigit()]
+    rows = _metric_rows(out)
     total = np.array([float(r[5]) for r in rows])
     patch_h = np.array([float(r[6]) for r in rows])
     early = total[:50].mean()
@@ -348,8 +354,7 @@ def test_criterion_8_ablation_structure(tmp_path, synth_small):
     trainer = pretrain(cfg, synth_small, out)
     ref_params, ref_losses = _mae_reference_run(cfg, synth_small,
                                                 len(synth_small) // 8, n_iters)
-    rows = [l.split(",") for l in open(os.path.join(out, "metrics.csv"))
-            if l[0].isdigit()]
+    rows = _metric_rows(out)
     zeros = all(float(r[3]) == 0.0 and float(r[4]) == 0.0 for r in rows)
     bit_equal = all(np.array_equal(trainer.student_params[k].data, v.data)
                     for k, v in ref_params.items())
@@ -376,10 +381,8 @@ def test_criterion_8_ablation_structure(tmp_path, synth_small):
         np.array_equal(dual.student_params[k].data,
                        single.student_params[k].data)
         for k in dual.student_params)
-    rows_d = [l.split(",")[:8] for l in
-              open(str(tmp_path / "dual" / "metrics.csv")) if l[0].isdigit()]
-    rows_s = [l.split(",")[:8] for l in
-              open(str(tmp_path / "single" / "metrics.csv")) if l[0].isdigit()]
+    rows_d = [r[:8] for r in _metric_rows(tmp_path / "dual")]
+    rows_s = [r[:8] for r in _metric_rows(tmp_path / "single")]
     metrics_equal = rows_d == rows_s
 
     ok = zeros and bit_equal and loss_equal and params_equal and metrics_equal
@@ -406,20 +409,17 @@ def test_criterion_9_determinism_persistence(tmp_path, synth_small):
     c, s, r = load_checkpoint(p1)
     p2 = str(tmp_path / "resaved.bin")
     save_checkpoint(p2, c, s, r)
-    bytes_ok = open(p1, "rb").read() == open(p2, "rb").read()
+    bytes_ok = Path(p1).read_bytes() == Path(p2).read_bytes()
 
     # interrupted vs continuous metrics (wall-clock column excluded)
     part = str(tmp_path / "part")
     pretrain(cfg, synth_small, part, max_iters=len(synth_small) // 8)
     pretrain(cfg, synth_small, part,
              resume=os.path.join(part, "checkpoint.bin"))
-    rows_f = [l.split(",")[:11] for l in
-              open(os.path.join(full, "metrics.csv")) if l[0].isdigit()]
-    rows_p = [l.split(",")[:11] for l in
-              open(os.path.join(part, "metrics.csv")) if l[0].isdigit()]
-    resume_ok = rows_f == rows_p and open(
-        os.path.join(part, "checkpoint.bin"), "rb").read() == \
-        open(p1, "rb").read()
+    rows_f = [r[:11] for r in _metric_rows(full)]
+    rows_p = [r[:11] for r in _metric_rows(part)]
+    resume_ok = rows_f == rows_p and Path(
+        part, "checkpoint.bin").read_bytes() == Path(p1).read_bytes()
 
     # malformed CIFAR files rejected with byte offsets
     bad_label = str(tmp_path / "bad_label.bin")

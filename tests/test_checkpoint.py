@@ -2,6 +2,7 @@
 
 import os
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ def test_save_load_save_byte_identical(tmp_path):
     save_checkpoint(p1, '{"seed": 0}', {"epoch": 3}, _records())
     cfg, state, recs = load_checkpoint(p1)
     save_checkpoint(p2, cfg, state, recs)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_load_roundtrip_values(tmp_path):
@@ -51,7 +52,7 @@ def test_bad_magic_rejected(tmp_path):
 def test_truncation_reports_offset(tmp_path):
     p = str(tmp_path / "e.bin")
     save_checkpoint(p, "{}", {}, _records())
-    raw = open(p, "rb").read()
+    raw = Path(p).read_bytes()
     with open(p, "wb") as fh:
         fh.write(raw[:-5])
     with pytest.raises(DataError, match="truncated"):
@@ -85,7 +86,7 @@ def test_restore_into_copies_and_validates(tmp_path):
 def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     p = str(tmp_path / "checkpoint.bin")
     save_checkpoint(p, "{}", {"iter": 1}, _records(0))
-    before = open(p, "rb").read()
+    before = Path(p).read_bytes()
     real = np.ascontiguousarray
     calls = []
 
@@ -100,7 +101,7 @@ def test_failed_save_keeps_previous_checkpoint(tmp_path, monkeypatch):
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(p, "{}", {"iter": 2}, _records(1))
     monkeypatch.undo()
-    assert open(p, "rb").read() == before
+    assert Path(p).read_bytes() == before
     assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
 
@@ -122,10 +123,10 @@ def test_checkpoint_properties(records, seed):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "c.bin")
         save_checkpoint(path, '{"seed": 1}', {"global_iter": seed}, recs)
-        raw = open(path, "rb").read()
+        raw = Path(path).read_bytes()
         cfg, state, loaded = load_checkpoint(path)
         save_checkpoint(path, cfg, state, loaded)
-        assert open(path, "rb").read() == raw
+        assert Path(path).read_bytes() == raw
 
         def load(data):
             with open(path, "wb") as fh:

@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from dualmim.cli import main
 from dualmim.data import write_cifar10
 from dualmim.tensor import Tensor
 from dualmim.train import Trainer
+from dualmim.vit import INFER_BLOCK_TOKENS
 
 
 @pytest.fixture(scope="module")
@@ -114,13 +116,13 @@ def test_resume_on_different_dataset_exit_code_3(tmp_path, data_file):
     assert main(["pretrain", "--data-dir", data_file, "--out", out,
                  "--max-iters", "2", "--seed", "5"] + TINY) == 0
     ckpt = os.path.join(out, "checkpoint.bin")
-    before = open(ckpt, "rb").read()
+    before = Path(ckpt).read_bytes()
     other = str(tmp_path / "other.bin")
     assert main(["make-data", "--data-dir", other, "--n", "64",
                  "--seed", "4"]) == 0
     assert main(["pretrain", "--data-dir", other, "--out", out,
                  "--resume", ckpt, "--seed", "5"] + TINY) == 3
-    assert open(ckpt, "rb").read() == before
+    assert Path(ckpt).read_bytes() == before
 
 
 def _rewrite(edit):
@@ -140,11 +142,11 @@ def _edit_bytes(edit, reseal):
     """A corruption that edits the raw bytes in place; with `reseal`, the
     CRC-32 trailer is rewritten to match, so the load gets past it."""
     def corrupt(path):
-        raw = bytearray(open(path, "rb").read())
+        raw = bytearray(Path(path).read_bytes())
         raw = edit(raw)
         if reseal:
             raw[-4:] = struct.pack("<I", zlib.crc32(raw[:-4]))
-        open(path, "wb").write(raw)
+        Path(path).write_bytes(raw)
     return corrupt
 
 
@@ -234,11 +236,11 @@ def test_malformed_checkpoint_exit_code_3(tmp_path, data_file,
     shutil.copy(pristine_checkpoint, ckpt)
     corrupt, message = _MALFORMED[fault]
     corrupt(ckpt)
-    before = open(ckpt, "rb").read()
+    before = Path(ckpt).read_bytes()
     assert main(["pretrain", "--data-dir", data_file, "--out", str(tmp_path),
                  "--resume", ckpt, "--seed", "5"] + TINY) == 3
     assert message in capsys.readouterr().err
-    assert open(ckpt, "rb").read() == before
+    assert Path(ckpt).read_bytes() == before
 
 
 def test_gradcheck_command(capsys):
@@ -294,3 +296,36 @@ def test_cli_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
     assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.xfail(raises=AssertionError, reason=(
+    "OpenBLAS may split the K sum of a skinny GEMM by thread count: the "
+    "decoder MLP weight gradients ([32, 9360] @ [9360, 8]) differ in their "
+    "last bits between 1 and 2 threads"))
+def test_pretrain_same_under_one_and_two_blas_threads(tmp_path):
+    """A fixed-seed pretrain writes the same checkpoint bytes and metric
+    rows under 1 and 2 OpenBLAS threads. At batch 144 with 16-position
+    folds the no-tape teacher passes run in threaded row blocks under 2."""
+    batch = 144
+    assert batch * (16 + 1) > INFER_BLOCK_TOKENS
+    data = str(tmp_path / "train.bin")
+    assert main(["make-data", "--data-dir", data, "--n", str(batch),
+                 "--seed", "3"]) == 0
+    tiny = dict(zip(TINY[::2], TINY[1::2]))
+    tiny.update({"--model.patch_size": "4", "--optim.batch_size": str(batch)})
+    src = os.path.dirname(os.path.dirname(dualmim.__file__))
+    runs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"threads{threads}")
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        subprocess.run([sys.executable, "-m", "dualmim.cli", "pretrain",
+                        "--data-dir", data, "--out", out, "--max-iters", "2",
+                        "--seed", "5", *(a for kv in tiny.items() for a in kv)],
+                       env=env, check=True, capture_output=True)
+        with open(os.path.join(out, "metrics.csv")) as fh:
+            rows = [line.split(",")[:11] for line in fh if line[0].isdigit()]
+        with open(os.path.join(out, "checkpoint.bin"), "rb") as fh:
+            runs.append((rows, fh.read()))
+    assert len(runs[0][0]) == 2
+    assert runs[0][0] == runs[1][0]
+    assert runs[0][1] == runs[1][1]

@@ -1,6 +1,7 @@
 """CIFAR-10 binary format, augmentation, and batching tests."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,7 +39,7 @@ def test_record_count(tmp_path):
 
 def test_truncated_file_reports_sizes(tmp_path):
     path, _, _ = _fixture(tmp_path, n=2)
-    raw = open(path, "rb").read()
+    raw = Path(path).read_bytes()
     with open(path, "wb") as fh:
         fh.write(raw[:-10])
     with pytest.raises(DataError) as e:
@@ -49,7 +50,7 @@ def test_truncated_file_reports_sizes(tmp_path):
 
 def test_bad_label_reports_offset(tmp_path):
     path, _, _ = _fixture(tmp_path, n=3)
-    raw = bytearray(open(path, "rb").read())
+    raw = bytearray(Path(path).read_bytes())
     raw[RECORD_BYTES] = 250  # label byte of record 1
     with open(path, "wb") as fh:
         fh.write(bytes(raw))
@@ -67,7 +68,7 @@ def test_write_read_roundtrip(tmp_path):
     # first record roundtrips bit-exactly through a second write
     path2 = str(tmp_path / "copy.bin")
     write_cifar10(path2, ds.labels[:1], ds.images[:1])
-    assert open(path2, "rb").read() == open(path, "rb").read()[:RECORD_BYTES]
+    assert Path(path2).read_bytes() == Path(path).read_bytes()[:RECORD_BYTES]
 
 
 def test_synthetic_fixture_loads(tmp_path):

@@ -107,7 +107,8 @@ def _ce_on_scores(p, scores, temperature):
     """The fused op on given scores: identity features make the prototype
     matrix the score matrix."""
     rows = np.asarray(p).shape[0]
-    return tempered_cross_entropy(p, np.arange(rows),
+    at = np.arange(rows)
+    return tempered_cross_entropy([(p, at, at)],
                                   np.eye(rows, dtype=np.float32), scores,
                                   temperature)
 
@@ -163,8 +164,8 @@ def _fused_vs_composed(rows, hidden, kc, temperature, seed):
         x = Tensor(x0, requires_grad=True)
         w = Tensor(w0, requires_grad=True)
         if fused:
-            loss = tempered_cross_entropy(table, target_rows, x, w,
-                                          temperature)
+            loss = tempered_cross_entropy(
+                [(table, target_rows, np.arange(rows))], x, w, temperature)
         else:
             loss = cross_entropy(table[target_rows],
                                  student_assign(x @ w, temperature))
@@ -205,11 +206,56 @@ def test_fused_ce_without_grad_stays_off_tape():
     table = np.full((3, 5), 0.2, np.float32)
     x = rng.standard_normal((4, 2)).astype(np.float32)
     w = Tensor(rng.standard_normal((2, 5)).astype(np.float32))
-    loss = tempered_cross_entropy(table, [0, 1, 2, 0], x, w, 0.5)
+    groups = [(table, [0, 1, 2, 0], np.arange(4))]
+    loss = tempered_cross_entropy(groups, x, w, 0.5)
     assert not loss.requires_grad and loss._backward is None
-    tracked = tempered_cross_entropy(table, [0, 1, 2, 0], x,
+    tracked = tempered_cross_entropy(groups, x,
                                      Tensor(w.data, requires_grad=True), 0.5)
     assert float(tracked.data) == float(loss.data)
+
+
+@settings(derandomize=True, max_examples=25, deadline=20000, database=None)
+@given(rows=st.integers(1, 2 * CE_CHUNK_ROWS + 40), n_groups=st.integers(1, 4),
+       kc=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
+def test_fused_ce_groups_match_one_group(rows, n_groups, kc, seed):
+    """Rows split into groups, each with its own table and in any order,
+    give the loss and gradients of one group over the stacked tables."""
+    rng = np.random.default_rng(seed)
+    tables = rng.random((n_groups, 3, kc)).astype(np.float32)
+    tables /= tables.sum(axis=2, keepdims=True)
+    group = rng.integers(0, n_groups, rows)
+    table_rows = rng.integers(0, 3, rows)
+    x0 = rng.standard_normal((rows, 4)).astype(np.float32)
+    x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
+    w0 = rng.standard_normal((4, kc)).astype(np.float32)
+    w0 /= np.linalg.norm(w0, axis=0, keepdims=True)
+    out = []
+    for grouped in (True, False):
+        x = Tensor(x0, requires_grad=True)
+        w = Tensor(w0, requires_grad=True)
+        if grouped:
+            groups = []
+            for g in range(n_groups):
+                at = rng.permutation(np.flatnonzero(group == g))
+                groups.append((tables[g], table_rows[at], at))
+        else:
+            groups = [(tables.reshape(-1, kc), group * 3 + table_rows,
+                       np.arange(rows))]
+        loss = tempered_cross_entropy(groups, x, w, 0.5)
+        loss.backward()
+        out.append((float(loss.data), x.grad, w.grad))
+    (lg, xg, wg), (l1, x1, w1) = out
+    assert abs(lg - l1) < 1e-6 * max(1.0, abs(l1))
+    assert np.abs(xg - x1).max() < 1e-6
+    assert np.abs(wg - w1).max() < 1e-6
+
+
+def test_fused_ce_groups_must_hold_every_row():
+    table = np.full((2, 5), 0.2, np.float32)
+    x = np.zeros((4, 2), np.float32)
+    w = Tensor(np.ones((2, 5), np.float32))
+    with pytest.raises(ValueError, match="3 rows of 4"):
+        tempered_cross_entropy([(table, [0, 1, 1], [0, 1, 3])], x, w, 0.5)
 
 
 def _scalar(v):

@@ -278,36 +278,32 @@ def test_teacher_targets_shapes_and_determinism():
     cls = rng.standard_normal((3, 4, 16)).astype(np.float32)
     pat = rng.standard_normal((3, 4, 5, 16)).astype(np.float32)
     eye = _eye(cls[0])
-    out1 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
-    out2 = teacher_targets(cls, pat, eye, eye, 3, 0.05)
-    assert out1.patch_rows.shape == (3 * 4 * 5, 16)
-    assert out1.cls.shape == (3, 4, 16)
-    assert np.array_equal(out1.patch_rows, out2.patch_rows)
-    assert np.array_equal(out1.cls, out2.cls)
     for fold in range(3):
+        q1, e1 = teacher_targets(pat[fold], eye, 3, 0.05)
+        q2, e2 = teacher_targets(pat[fold], eye, 3, 0.05)
+        assert q1.shape == (4 * 5, 16)
+        assert np.array_equal(q1, q2) and e1 == e2
+        c, _ = teacher_targets(cls[fold], eye, 3, 0.05)
         q, _ = sinkhorn_normalize(cls[fold], eye, 3, 0.05)
-        assert np.array_equal(out1.cls[fold], q)
+        assert c.shape == (4, 16)
+        assert np.array_equal(c, q)
 
 
-def test_teacher_targets_fold_major_rows_and_entropy():
+def test_teacher_targets_patch_rows_and_entropy():
+    """Every fold written into one reused buffer: row b*F + f holds image
+    b, position f, balanced jointly across batch and position."""
     rng = np.random.default_rng(14)
     k, b, f, kc = 3, 4, 5, 16
-    cls = rng.uniform(-1, 1, (k, b, kc)).astype(np.float32)
     pat = rng.uniform(-1, 1, (k, b, f, kc)).astype(np.float32)
-    eye = _eye(cls[0])
-    out = teacher_targets(cls, pat, eye, eye, 3, 0.05)
-    assert out.patch_rows.shape == (k * b * f, kc)
-    patch = out.patch_rows.reshape(k, b, f, kc)
+    eye = _eye(pat[0, 0])
+    out = np.empty((b * f, kc), np.float32)
     for fold in range(k):
+        got, entropy = teacher_targets(pat[fold], eye, 3, 0.05, out=out)
+        assert got is out
         q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), eye, 3,
                                   0.05)
-        assert np.array_equal(patch[fold].reshape(b * f, kc), q)
-        for bb in range(b):
-            for ff in range(f):
-                assert np.array_equal(
-                    out.patch_rows[(fold * b + bb) * f + ff],
-                    q[bb * f + ff])
-    assert abs(out.patch_entropy - mean_row_entropy(patch)) < 1e-5
+        assert np.array_equal(out, q)
+        assert abs(entropy - mean_row_entropy(q)) < 1e-5
 
 
 def test_assignment_entropy_decreases_with_temperature():
@@ -332,7 +328,9 @@ def test_student_assign_grad_through_ce():
                               np.eye(6, dtype=np.float32), 3, 1.0)
     # identity features make the prototype matrix the score matrix
     eye = np.eye(3, dtype=np.float32)
-    loss = lambda: tempered_cross_entropy(p, np.arange(3), eye, s, 1.0) * 0.25
+    rows = np.arange(3)
+    loss = lambda: tempered_cross_entropy([(p, rows, rows)], eye, s,
+                                          1.0) * 0.25
     assert check_grads(loss, {"s": s}) <= 1.0
 
 
@@ -451,9 +449,9 @@ def _class_targets(k, b, kc, seed):
     teacher's class assignments."""
     rng = np.random.default_rng(seed)
     cls = rng.standard_normal((k, b, kc)).astype(np.float32)
-    pat = rng.standard_normal((k, b, 2, kc)).astype(np.float32)
     eye = np.eye(kc, dtype=np.float32)
-    return cls, teacher_targets(cls, pat, eye, eye, 3, 0.5).cls.mean(axis=0)
+    return cls, np.stack([teacher_targets(c, eye, 3, 0.5)[0]
+                          for c in cls]).mean(axis=0)
 
 
 def test_class_average_single_fold_identity():

@@ -2,11 +2,14 @@
 
 import os
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dualmim import ema as ema_mod
+from dualmim import pseudolabel as pl
+from dualmim import train as train_mod
 from dualmim import vit
 from dualmim.checkpoint import load_checkpoint
 from dualmim.config import TrainConfig
@@ -18,7 +21,8 @@ from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
                            export_metrics, knn_eval, linear_probe, pretrain)
 from dualmim.vit import Encoder, patchify_batch
 
-from tiny_model import tiny_config
+from tape_ref import fold_major_patch_loss
+from tiny_model import composed_setup, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -70,7 +74,7 @@ def test_metrics_header_exact(tmp_path, tiny_ds):
     cfg = _tiny_cfg()
     out = str(tmp_path / "run")
     pretrain(cfg, tiny_ds, out, max_iters=2)
-    lines = open(os.path.join(out, "metrics.csv")).read().splitlines()
+    lines = Path(out, "metrics.csv").read_text().splitlines()
     assert lines[0].startswith("# config ")
     assert lines[1] == METRICS_HEADER
     assert METRICS_HEADER == ("epoch,iter,loss_m,loss_c,loss_p,total,"
@@ -101,8 +105,8 @@ def test_interrupt_resume_bit_exact(tmp_path, tiny_ds):
     assert len(full_rows) == len(part_rows)
     for a, b in zip(full_rows, part_rows):
         assert a[:11] == b[:11]  # everything except wall-clock seconds
-    ck_a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
-    ck_b = open(os.path.join(part, "checkpoint.bin"), "rb").read()
+    ck_a = Path(full, "checkpoint.bin").read_bytes()
+    ck_b = Path(part, "checkpoint.bin").read_bytes()
     assert ck_a == ck_b
 
 
@@ -134,8 +138,8 @@ def test_mid_epoch_resume_bit_exact(tmp_path, tiny_ds, mode, stop_at):
     assert len(full_rows) == len(part_rows) == 8
     for a, b in zip(full_rows, part_rows):
         assert a[:11] == b[:11]  # everything except wall-clock seconds
-    ck_a = open(os.path.join(full, "checkpoint.bin"), "rb").read()
-    ck_b = open(os.path.join(part, "checkpoint.bin"), "rb").read()
+    ck_a = Path(full, "checkpoint.bin").read_bytes()
+    ck_b = Path(part, "checkpoint.bin").read_bytes()
     assert ck_a == ck_b
     # record groups in order: student, the teachers, then AdamW's moments
     _, _, records = load_checkpoint(os.path.join(part, "checkpoint.bin"))
@@ -270,28 +274,97 @@ def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
     assert seen[0]() is None
 
 
-def test_train_step_frees_teacher_targets_before_backward(tiny_ds,
-                                                          monkeypatch):
+def test_patch_targets_share_one_buffer_freed_before_backward(tiny_ds,
+                                                             monkeypatch):
+    """Every patch fold's Sinkhorn writes the same buffer, so no two fold
+    tables are alive at once, and that buffer is gone when backward runs."""
     cfg = _tiny_cfg()
-    assert cfg.loss.lambda_p > 0
+    assert cfg.loss.lambda_p > 0 and cfg.masking.num_folds == 3
     trainer = Trainer(cfg, iters_per_epoch=len(tiny_ds) // 8)
-    targets, alive_at_backward = [], []
-    prepare, backward = Trainer.prepare_step, Tensor.backward
+    patch_weight = trainer.t_cl.head.patch_out.w.data
+    written, alive_at_backward = [], []
+    sinkhorn, backward = pl.sinkhorn_normalize, Tensor.backward
 
-    def prepare_spy(self, *args):
-        ctx = prepare(self, *args)
-        targets.append(weakref.ref(ctx[3].patch_rows))
-        return ctx
+    def sinkhorn_spy(feats, weight, *args, out=None):
+        if weight is patch_weight:
+            buf = out if out.base is None else out.base
+            # an earlier fold's table is this same buffer, or gone
+            assert all(ref() is None or ref() is buf for _, ref in written)
+            written.append((out.ctypes.data, weakref.ref(buf)))
+        return sinkhorn(feats, weight, *args, out=out)
 
     def backward_spy(self):
-        alive_at_backward.append(targets[-1]() is not None)
+        alive_at_backward.append([ref() is not None for _, ref in written])
         return backward(self)
 
-    monkeypatch.setattr(Trainer, "prepare_step", prepare_spy)
+    monkeypatch.setattr(pl, "sinkhorn_normalize", sinkhorn_spy)
     monkeypatch.setattr(Tensor, "backward", backward_spy)
     batch = make_batch(tiny_ds, np.arange(8), cfg.seed, 0, cfg.augment)
     trainer.train_step(batch, 0, 0)
-    assert alive_at_backward == [False]
+    assert len(written) == 3
+    assert len({addr for addr, _ in written}) == 1
+    assert alive_at_backward == [[False] * 3]
+
+
+def _capture_patch_loss(monkeypatch):
+    """Record the arguments of each `patch_loss` call `compute_loss` makes."""
+    calls, real = [], train_mod.patch_loss
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(train_mod, "patch_loss", spy)
+    return calls, real
+
+
+@pytest.mark.parametrize("empty_fold", [None, 0, 1, 2])
+def test_streamed_patch_loss_matches_fold_major_table(monkeypatch,
+                                                      empty_fold):
+    """The per-fold stream against one fold-major table of all folds' targets,
+    on the frozen-match path the composed gradient check uses; a match may
+    leave a fold with no rows."""
+    trainer, batch, ctx, match, _ = composed_setup(seed=3)
+    assert ctx[5].shape[0] == 3    # K = 3 folds
+    if empty_fold is not None:
+        moved = np.where(match[0] == empty_fold, (empty_fold + 1) % 3,
+                         match[0])
+        match = (moved, match[1], match[2])
+        assert not (match[0] == empty_fold).any()
+    calls, patch_loss = _capture_patch_loss(monkeypatch)
+    report, got = trainer.compute_loss(batch, *ctx, frozen_match=match,
+                                       train=False)
+    assert got is match and len(calls) == 1
+    feats, weight, _, teacher_feats, teacher_weight, sk = calls[0]
+    out = []
+    for fn in (patch_loss, fold_major_patch_loss):
+        x = Tensor(feats.data, requires_grad=True)
+        w = Tensor(weight.data, requires_grad=True)
+        loss, entropy = fn(x, w, match, teacher_feats, teacher_weight, sk)
+        loss.backward()
+        out.append((float(loss.data), entropy, x.grad, w.grad))
+    (ls, es, xs, ws), (lr, er, xr, wr) = out
+    assert abs(report.loss_p - lr) <= 1e-6
+    assert abs(ls - lr) <= 1e-6 and abs(es - er) <= 1e-6
+    assert report.patch_target_entropy == es
+    assert np.abs(xs - xr).max() <= 1e-6
+    assert np.abs(ws - wr).max() <= 1e-6
+
+
+def test_single_fold_pseudo_labeling_trains(tmp_path, tiny_ds, monkeypatch):
+    """`multifold_pseudo_labeling: false` streams the patch loss as one fold
+    of all M masked positions, and reruns reproduce it."""
+    cfg = _tiny_cfg(multifold_pseudo_labeling=False)
+    calls, _ = _capture_patch_loss(monkeypatch)
+    runs = []
+    for name in ("a", "b"):
+        out = str(tmp_path / name)
+        pretrain(cfg, tiny_ds, out, max_iters=3)
+        runs.append([r[:11] for r in _metrics_rows(out)])
+    assert runs[0] == runs[1] and len(runs[0]) == 3
+    assert all(np.isfinite(float(r[4])) and float(r[4]) > 0 for r in runs[0])
+    teacher_feats = calls[0][3]
+    assert teacher_feats.shape[:3] == (1, 8, 12)   # K = 1, B = 8, F = M
 
 
 def test_eval_derives_class_count_from_labels(tiny_ds):
