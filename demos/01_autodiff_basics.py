@@ -11,7 +11,7 @@ uses everywhere.
 import numpy as np
 
 from dualmim.gradcheck import check_grads, finite_diff
-from dualmim.tensor import Tensor
+from dualmim.tensor import Tensor, layernorm, linear
 
 rng = np.random.default_rng(0)
 
@@ -22,7 +22,7 @@ y = (x * x + x).sum()          # y = x^2 + x, dy/dx = 2x + 1 = 7
 y.backward()
 print(f"d(x^2 + x)/dx at x=3: {float(x.grad):.1f}  (expect 7.0)")
 
-# -- 2. a matmul + layernorm block, checked numerically --------------------------
+# -- 2. a linear + layernorm block, checked numerically --------------------------
 
 w = Tensor(rng.normal(0, 0.5, (4, 4)).astype(np.float32), requires_grad=True)
 b = Tensor(np.zeros(4, np.float32), requires_grad=True)
@@ -34,15 +34,14 @@ beta = Tensor(np.zeros(4, np.float32), requires_grad=True)
 
 
 def build():
-    from dualmim.tensor import layernorm
-    h = Tensor(inp) @ w + b
+    h = linear(Tensor(inp), w, b)
     return layernorm(h, gamma, beta).mean()
 
 
 # check_grads returns the worst violation relative to (rel_tol, abs_floor);
 # anything <= 1.0 means every component agreed with finite differences
 worst = check_grads(build, {"w": w, "b": b, "gamma": gamma, "beta": beta})
-print(f"matmul+layernorm worst gradcheck violation: {worst:.3f}  (pass <= 1)")
+print(f"linear+layernorm worst gradcheck violation: {worst:.3f}  (pass <= 1)")
 
 # -- 3. why float32 needs a relative tolerance ----------------------------------
 

@@ -11,7 +11,8 @@ nearest teacher patch across the folds.
 import numpy as np
 
 from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match_batch,
-                                 sinkhorn_normalize, student_assign)
+                                 sinkhorn_normalize)
+from dualmim.tensor import softmax
 
 rng = np.random.default_rng(0)
 
@@ -24,7 +25,7 @@ scores[:, 0] += 3.0
 # Sinkhorn takes features and prototypes and forms the scores itself;
 # identity prototypes make the features the scores
 eye = np.eye(4, dtype=np.float32)
-plain = student_assign(scores, temperature=0.1).data
+plain = softmax(scores / 0.1).data
 balanced, _ = sinkhorn_normalize(scores, eye, n_iters=3, temperature=0.1)
 print("column mass, plain softmax :",
       np.array2string(plain.sum(axis=0), precision=2))

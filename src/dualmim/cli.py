@@ -10,8 +10,6 @@ Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 import argparse
 import sys
 
-import numpy as np
-
 from . import gradcheck as gc
 from . import train as train_mod
 from .config import load_config

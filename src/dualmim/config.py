@@ -12,7 +12,7 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .data import AugmentConfig
-from .ema import PER_EPOCH, PER_ITERATION, EmaSchedule
+from .ema import PER_EPOCH, PER_ITERATION
 from .errors import ConfigError
 from .losses import LossWeights
 from .masking import validate_masking

@@ -11,7 +11,7 @@ views of one step always come from the same source image.
 """
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,8 +80,10 @@ def write_cifar10(path, labels, images):
     labels = np.asarray(labels, dtype=np.uint8)
     images = np.asarray(images, dtype=np.uint8)
     planes = images.transpose(0, 3, 1, 2).reshape(len(labels), 3072)
-    with open(path, "wb") as fh:
-        fh.write(np.concatenate([labels[:, None], planes], axis=1).tobytes())
+    try:
+        np.concatenate([labels[:, None], planes], axis=1).tofile(path)
+    except OSError as e:
+        raise DataError(f"cannot write {path}: {e.strerror}") from e
 
 
 def load_data_dir(path):
@@ -291,8 +293,6 @@ def record_rng(seed, epoch, record_index, view_id):
 class Batch:
     simple: np.ndarray          # [B, 32, 32, 3] standardized
     complex: np.ndarray         # [B, 32, 32, 3] standardized (or None)
-    labels: np.ndarray
-    record_indices: np.ndarray  # provenance: source record per row
 
 
 def make_batch(dataset, indices, seed, epoch, cfg=None, need_complex=True):
@@ -310,5 +310,4 @@ def make_batch(dataset, indices, seed, epoch, cfg=None, need_complex=True):
         params = [_draw_view(record_rng(seed, epoch, i, v), cfg, v == 1)
                   for i in indices]
         return _augment_view(imgs, params, cfg)
-    return Batch(simple=view(0), complex=view(1) if need_complex else None,
-                 labels=dataset.labels[indices], record_indices=indices)
+    return Batch(simple=view(0), complex=view(1) if need_complex else None)

@@ -16,7 +16,6 @@ reimplementation in the test suite.
 import numpy as np
 
 from . import losses as losses_mod
-from . import pseudolabel as pl
 from .optim import AdamW
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
                      layernorm, linear, softmax)
@@ -84,10 +83,6 @@ def op_suite(seed=0):
     def const(*shape):
         return Tensor(rng.normal(0, 1, shape).astype(np.float32))
 
-    a, b = randn(4, 5, scale=0.5), randn(5, 3, scale=0.5)
-    results.append(("matmul", check_grads(
-        lambda: ((a @ b) * (a @ b)).mean() * 0.1, {"a": a, "b": b})))
-
     x, g, be = randn(3, 6), randn(6), randn(6)
     results.append(("layernorm", check_grads(
         lambda: (layernorm(x, g, be) * layernorm(x, g, be)).mean() * 0.25,
@@ -134,13 +129,13 @@ def op_suite(seed=0):
     teacher = rng.normal(0, 1, (2, 2, 2, 8)).astype(np.float32)
     folds = np.array([[3, 0], [4, 1]])
     results.append(("recon_loss", check_grads(
-        lambda: losses_mod.recon_loss(t, teacher, folds)[0], {"t": t})))
+        lambda: losses_mod.recon_loss(t, teacher, folds), {"t": t})))
 
     s = randn(3, 4, scale=0.5)
     p = np.abs(rng.normal(0, 1, (3, 4))).astype(np.float32)
     p /= p.sum(axis=1, keepdims=True)
     results.append(("softmax_cross_entropy", check_grads(
-        lambda: losses_mod.cross_entropy(p, pl.student_assign(s, 1.0)) * 0.25,
+        lambda: losses_mod.cross_entropy(p, softmax(s)) * 0.25,
         {"s": s})))
 
     # two streamed chunks, the second one partial

@@ -34,7 +34,6 @@ class LossReport:
     total: float
     total_tensor: object          # scalar Tensor (backward entry point);
                                   # train_step drops it after the step
-    mean_cosine: float = 0.0
     patch_target_entropy: float = 0.0
     class_target_entropy: float = 0.0
 
@@ -57,7 +56,7 @@ def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
     [K, F] `folds`. With s a student row, t its unit target and
     n = sqrt(|s|^2 + eps), cos = s.t / n; over R rows the backward is
     ds = -g/(R n) (t - cos s/n), written at the fold rows of one zeroed
-    [B, N+1, D] buffer. Returns (scalar Tensor, mean cosine float).
+    [B, N+1, D] buffer. Returns the scalar Tensor.
     """
     k, b, f, d = teacher_fold_tokens.shape
     t = normalize_targets(teacher_fold_tokens, eps).transpose(
@@ -76,15 +75,14 @@ def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
         full[:, cols] = ds * (-g * inv_r / n)[..., None]
         decoder_out._accumulate(full)
 
-    out = Tensor._result(loss, (decoder_out,), "recon", bwd)
-    return out, 1.0 - float(loss)
+    return Tensor._result(loss, (decoder_out,), "recon", bwd)
 
 
 def cross_entropy(target_rows, predicted):
     """H(p, q) = -sum_c p_c log(q_c + eps), averaged over rows.
 
     `target_rows` is a constant array of distributions; `predicted` is a
-    Tensor of distributions (tempered softmax output).
+    Tensor of distributions (a softmax output).
     """
     p = np.asarray(target_rows, dtype=np.float32)
     rows = int(np.prod(p.shape[:-1]))
@@ -93,7 +91,7 @@ def cross_entropy(target_rows, predicted):
 
 
 def tempered_cross_entropy(groups, feats, weight, temperature):
-    """cross_entropy(p, student_assign(feats @ weight, T)) as one fused op.
+    """cross_entropy(p, softmax(feats @ weight / T)) as one fused op.
 
     `groups`: (table, table_rows, feat_rows) triples, each a [N, K_c]
     table of target distributions (constants) and the table row of each
@@ -162,7 +160,7 @@ def tempered_cross_entropy(groups, feats, weight, temperature):
 
 
 def total_loss(weights, loss_m=None, loss_c=None, loss_p=None,
-               mean_cosine=0.0, patch_entropy=0.0, class_entropy=0.0):
+               patch_entropy=0.0, class_entropy=0.0):
     """Weighted sum; zero-weight terms must be passed as None (never built).
 
     The total is always lambda_m*m + lambda_c*c + lambda_p*p in that order.
@@ -185,6 +183,5 @@ def total_loss(weights, loss_m=None, loss_c=None, loss_p=None,
         tot = Tensor(np.float32(0.0))
     return LossReport(loss_m=vals["loss_m"], loss_c=vals["loss_c"],
                       loss_p=vals["loss_p"], total=float(tot.data),
-                      total_tensor=tot, mean_cosine=mean_cosine,
-                      patch_target_entropy=patch_entropy,
+                      total_tensor=tot, patch_target_entropy=patch_entropy,
                       class_target_entropy=class_entropy)

@@ -1,8 +1,8 @@
 """Random token masking and the K-fold partition of masked tokens.
 
-Polarity: m[i] == 1 means the token is MASKED — dropped from the student
-input and handed to the teachers. The teachers process the masked
-complement split into K equal folds; the student sees the visible set.
+A MASKED token is dropped from the student input and handed to the
+teachers, which process the masked set split into K equal folds; the
+student sees the visible set.
 """
 
 from dataclasses import dataclass
@@ -14,14 +14,8 @@ from .errors import ConfigError
 
 @dataclass
 class MaskSpec:
-    m: np.ndarray              # uint8 vector, length N, 1 = masked
     visible_indices: np.ndarray  # sorted ascending
     masked_indices: np.ndarray   # sorted ascending
-    ratio: float
-
-    @property
-    def n_tokens(self):
-        return self.m.shape[0]
 
 
 def validate_masking(n_tokens, ratio, num_folds):
@@ -46,12 +40,8 @@ def gen_mask(n_tokens, ratio, rng):
     """Uniformly random MaskSpec with round(ratio*N) masked tokens."""
     n_masked = int(round(ratio * n_tokens))
     perm = rng.permutation(n_tokens)
-    masked = np.sort(perm[:n_masked])
-    visible = np.sort(perm[n_masked:])
-    m = np.zeros(n_tokens, dtype=np.uint8)
-    m[masked] = 1
-    return MaskSpec(m=m, visible_indices=visible, masked_indices=masked,
-                    ratio=ratio)
+    return MaskSpec(visible_indices=np.sort(perm[n_masked:]),
+                    masked_indices=np.sort(perm[:n_masked]))
 
 
 def split_folds(mask, num_folds, rng):

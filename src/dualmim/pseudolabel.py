@@ -10,8 +10,6 @@ folds before the patch loss is applied.
 
 import numpy as np
 
-from .tensor import softmax
-
 # Scores of unit features against prototype columns of norm at most 1 lie
 # in [-1, 1]: at T >= TEMPERATURE_FLOOR they span at most 80 temperatures.
 # Sinkhorn rejects a span over SPREAD_T; exp(-84) is still a normal float32.
@@ -75,11 +73,6 @@ def _float32_range(x):
     if not (x <= np.finfo(np.float32).max).all():
         raise ValueError("sinkhorn_normalize: a scaling vector overflows float32")
     return x
-
-
-def student_assign(scores, temperature):
-    """Row-wise tempered softmax, differentiable (stays on the tape)."""
-    return softmax(scores * (1.0 / temperature), axis=-1)
 
 
 def teacher_targets(feats, weight, n_iters, temperature, out=None):

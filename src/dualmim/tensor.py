@@ -231,26 +231,6 @@ class Tensor:
 
         return self._result(a.data.take(idx, axis=axis), (a,), "take", bwd)
 
-    # -- matrix product ---------------------------------------------------
-
-    def __matmul__(self, other):
-        other = ensure_tensor(other)
-        a, b = self, other
-        if a.shape[-1] != b.shape[-2]:
-            raise ValueError(
-                f"matmul inner dimensions disagree: {a.shape} x {b.shape}")
-        out_data = a.data @ b.data
-
-        def bwd(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.shape))
-
-        return self._result(out_data, (a, b), "matmul", bwd)
-
 
 def ensure_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)

@@ -6,7 +6,6 @@ Determinism: every random draw comes from a stream derived from
 checkpoint, mid-epoch included, reproduces the continuous run bit-exactly.
 """
 
-import json
 import os
 import time
 import zlib
@@ -22,7 +21,7 @@ from .config import TEACHER_SINGLE, TrainConfig
 from .errors import DataError, NumericError
 from .masking import gen_mask, split_folds
 from .optim import AdamW, lr_at
-from .tensor import Tensor, no_grad
+from .tensor import Tensor, linear, no_grad, softmax
 from .vit import Decoder, Encoder, Module, ProjectionHead, patchify_batch
 
 METRICS_HEADER = ("epoch,iter,loss_m,loss_c,loss_p,total,"
@@ -30,6 +29,7 @@ METRICS_HEADER = ("epoch,iter,loss_m,loss_c,loss_p,total,"
 
 # purpose tags for per-iteration RNG streams
 _RNG_MASK, _RNG_FOLD, _RNG_DROPPATH, _RNG_INIT = 2, 3, 4, 0x1717
+KNN_BLOCK_ROWS = 256   # kNN query rows per similarity block
 
 
 def _stream(seed, epoch, it, purpose):
@@ -129,14 +129,12 @@ class Trainer:
 
     def compute_loss(self, batch, mask, folds, rec_tokens, teacher_feats,
                      class_target, patch_feats, patch_weight,
-                     frozen_match=None, train=True, dp_rng=None):
-        """Student forward + all enabled loss terms.
+                     train=True, dp_rng=None):
+        """Student forward + all enabled loss terms -> (report, match).
 
         Everything teacher-side arrives precomputed as constants (see
         `prepare_step`); `patch_loss` makes the patch targets from the
-        head's patch features and prototypes. With `frozen_match` set, the
-        patch-target matching from a previous call is reused
-        (finite-difference checks need the argmin frozen).
+        head's patch features and prototypes.
         """
         cfg = self.cfg
         w = cfg.loss
@@ -147,21 +145,19 @@ class Trainer:
         dec_out = self.decoder(encoded, mask.visible_indices,
                                mask.masked_indices)
 
-        loss_m = mean_cos = None
+        loss_m = None
         if w.lambda_m > 0:
-            loss_m, mean_cos = losses_mod.recon_loss(dec_out, rec_tokens, folds)
+            loss_m = losses_mod.recon_loss(dec_out, rec_tokens, folds)
 
-        loss_c = loss_p = None
+        loss_c = loss_p = match = None
         patch_entropy = class_entropy = 0.0
-        match = frozen_match
         if self.pseudo_enabled:
             student_tokens = dec_out.take(
                 np.concatenate(([0], mask.masked_indices + 1)), axis=1)
             cls_feat, patch_feat = self.head(student_tokens)
             if w.lambda_p > 0:
-                if match is None:
-                    match = pl.nearest_patch_match_batch(
-                        student_tokens.data[:, 1:], teacher_feats)
+                match = pl.nearest_patch_match_batch(
+                    student_tokens.data[:, 1:], teacher_feats)
                 loss_p, patch_entropy = patch_loss(
                     patch_feat, self.head.patch_out.w, match, patch_feats,
                     patch_weight, cfg.sinkhorn)
@@ -174,8 +170,7 @@ class Trainer:
 
         report = losses_mod.total_loss(
             w, loss_m=loss_m, loss_c=loss_c, loss_p=loss_p,
-            mean_cosine=mean_cos or 0.0, patch_entropy=patch_entropy,
-            class_entropy=class_entropy)
+            patch_entropy=patch_entropy, class_entropy=class_entropy)
         return report, match
 
     def prepare_step(self, batch, epoch, it_in_epoch):
@@ -344,11 +339,20 @@ def _data_fingerprint(dataset):
             "crc32": zlib.crc32(np.ascontiguousarray(dataset.images), crc)}
 
 
+def check_images(dataset, model_cfg):
+    """Raise DataError unless the images fit the model's input shape."""
+    want = (model_cfg.image_size,) * 2 + (model_cfg.in_channels,)
+    if dataset.images.shape[1:] != want:
+        raise DataError(f"images are {dataset.images.shape[1:]} per record; "
+                        f"the model takes {want}")
+
+
 def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
     """Run (or resume) pretraining; writes metrics.csv and checkpoint.bin.
 
     `max_iters` caps total iterations for smoke runs. Returns the Trainer.
     """
+    check_images(dataset, config.model)
     os.makedirs(out_dir, exist_ok=True)
     iters_per_epoch = len(dataset) // config.optim.batch_size
     if iters_per_epoch < 1:
@@ -419,6 +423,7 @@ def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
 def encode_features(encoder, model_cfg, dataset, augment_cfg=None,
                     batch_size=256):
     """Frozen class-token features for every record (no masking, no crops)."""
+    check_images(dataset, model_cfg)
     aug = augment_cfg or data_mod.AugmentConfig()
     n = len(dataset)
     feats = np.empty((n, model_cfg.embed_dim), np.float32)
@@ -450,8 +455,7 @@ def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
         order = rng.permutation(len(train_ds))
         for lo in range(0, len(order), batch_size):
             idx = order[lo:lo + batch_size]
-            logits = Tensor(f_train[idx]) @ w + b
-            probs = pl.student_assign(logits, 1.0)
+            probs = softmax(linear(Tensor(f_train[idx]), w, b))
             loss = losses_mod.cross_entropy(onehot[idx], probs)
             opt.zero_grad()
             loss.backward()
@@ -460,24 +464,21 @@ def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
     return float((pred == test_ds.labels).mean())
 
 
-def knn_eval(train_feats, train_labels, test_feats, test_labels, k,
-             exclude_self=False):
-    """Cosine-similarity k-nearest-neighbor top-1 accuracy.
-
-    With `exclude_self`, the single most similar neighbor of each query is
-    dropped (for evaluating a set against itself).
-    """
+def knn_eval(train_feats, train_labels, test_feats, test_labels, k):
+    """Cosine-similarity k-nearest-neighbor top-1 accuracy, over query
+    blocks of KNN_BLOCK_ROWS rows. A tied neighbor goes to the lowest train
+    index (stable sort), a tied vote to the lowest label."""
     def unit(x):
         return x / (np.linalg.norm(x, axis=1, keepdims=True) + 1e-12)
 
-    sims = unit(np.asarray(test_feats)) @ unit(np.asarray(train_feats)).T
-    k_eff = min(k + (1 if exclude_self else 0), sims.shape[1])
-    nbr = np.argsort(-sims, axis=1, kind="stable")[:, :k_eff]
-    if exclude_self:
-        nbr = nbr[:, 1:]
-    votes = np.asarray(train_labels)[nbr]
-    pred = np.array([np.bincount(v).argmax() for v in votes])
-    return float((pred == np.asarray(test_labels)).mean())
+    train_t = unit(np.asarray(train_feats)).T
+    test = unit(np.asarray(test_feats))
+    labels, pred = np.asarray(train_labels), []
+    for lo in range(0, len(test), KNN_BLOCK_ROWS):
+        sims = test[lo:lo + KNN_BLOCK_ROWS] @ train_t
+        nbr = np.argsort(-sims, axis=1, kind="stable")[:, :k]
+        pred += [np.bincount(v).argmax() for v in labels[nbr]]
+    return float((np.array(pred) == np.asarray(test_labels)).mean())
 
 
 # -- metrics export ----------------------------------------------------------

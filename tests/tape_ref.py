@@ -1,17 +1,40 @@
 """Elementary tape nodes and reference layouts that only the tests need.
 
 The runtime builds its losses and transformer ops as single fused nodes,
-so it has no division or square root on the tape. The composed references
-the fused ops are checked against are built from these nodes plus the
-runtime's add, neg, mul, sum and mean. The patch loss, which the runtime
-streams fold by fold, is checked against one fold-major target table.
+so it has no matrix product, division or square root on the tape. The
+composed references the fused ops are checked against are built from
+these nodes plus the runtime's add, neg, mul, sum, mean and softmax. The
+patch loss, which the runtime streams fold by fold, is checked against one
+fold-major target table.
 """
 
 import numpy as np
 
 from dualmim.losses import _COS_EPS, tempered_cross_entropy
 from dualmim.pseudolabel import sinkhorn_normalize
-from dualmim.tensor import Tensor, _unbroadcast, ensure_tensor
+from dualmim.tensor import Tensor, _unbroadcast, ensure_tensor, softmax
+
+
+def matmul(a, b):
+    """a @ b, batched over the leading dims; either side a Tensor or an
+    array."""
+    a, b = ensure_tensor(a), ensure_tensor(b)
+
+    def bwd(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2),
+                                       a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g,
+                                       b.shape))
+
+    return Tensor._result(a.data @ b.data, (a, b), "matmul", bwd)
+
+
+def student_assign(scores, temperature):
+    """Row-wise tempered softmax on the tape: the composed form of the
+    student assignment inside `tempered_cross_entropy`."""
+    return softmax(scores * (1.0 / temperature), axis=-1)
 
 
 def div(a, b):

@@ -314,8 +314,8 @@ def _mae_reference_run(cfg, dataset, iters_per_epoch, n_iters):
                               rng=dp_rng)
             dec_out = decoder(enc_out, mask.visible_indices,
                               mask.masked_indices)
-            loss, _ = losses_mod.recon_loss(dec_out, np.stack(rec_tokens),
-                                            folds)
+            loss = losses_mod.recon_loss(dec_out, np.stack(rec_tokens),
+                                         folds)
             opt.zero_grad()
             loss.backward()
             opt.step(lr_at(it_global,

@@ -14,6 +14,7 @@ import pytest
 import dualmim
 from dualmim.checkpoint import load_checkpoint, save_checkpoint
 from dualmim.cli import main
+from dualmim.config import load_config
 from dualmim.data import write_cifar10
 from dualmim.tensor import Tensor
 from dualmim.train import Trainer
@@ -102,6 +103,39 @@ def test_malformed_data_exit_code_3(tmp_path):
     rc = main(["pretrain", "--data-dir", bad,
                "--out", str(tmp_path / "x")] + TINY)
     assert rc == 3
+
+
+def test_make_data_into_missing_directory_exit_code_3(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.bin"
+    assert main(["make-data", "--data-dir", str(path), "--n", "4"]) == 3
+    assert "data error: cannot write" in capsys.readouterr().err
+    assert not path.parent.exists()
+
+
+def test_pretrain_on_images_of_another_shape_exit_code_3(tmp_path,
+                                                          data_file, capsys):
+    """32x32 records against a 16x16 model: exit 3 before metrics.csv or a
+    checkpoint exists."""
+    out = tmp_path / "run"
+    rc = main(["pretrain", "--data-dir", data_file, "--out", str(out),
+               "--max-iters", "1"] + TINY
+              + ["--model.image_size", "16", "--model.patch_size", "4"])
+    assert rc == 3
+    assert "the model takes (16, 16, 3)" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["knn-eval", "linear-probe"])
+def test_eval_on_images_of_another_shape_exit_code_3(tmp_path, data_file,
+                                                      capsys, command):
+    """A checkpoint of a 16x16 model evaluated on 32x32 records."""
+    args = TINY + ["--model.image_size", "16", "--model.patch_size", "4"]
+    cfg = load_config(None, {k[2:]: v for k, v in zip(args[::2], args[1::2])})
+    ckpt = str(tmp_path / "checkpoint.bin")
+    Trainer(cfg, iters_per_epoch=8).save(ckpt)
+    assert main([command, "--data-dir", data_file, "--checkpoint", ckpt,
+                 "--holdout", "16"]) == 3
+    assert "the model takes (16, 16, 3)" in capsys.readouterr().err
 
 
 def test_missing_data_dir_required(tmp_path):

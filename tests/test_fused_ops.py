@@ -11,7 +11,7 @@ import numpy as np
 
 from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
                             layernorm, linear, softmax)
-from tape_ref import div, sqrt
+from tape_ref import div, matmul, sqrt
 
 REL = 1e-5
 
@@ -28,7 +28,7 @@ def _transpose(t, axes):
 
 def ref_linear(x, w, b):
     lead = x.shape[:-1]
-    y = x.reshape((-1, x.shape[-1])) @ w + b
+    y = matmul(x.reshape((-1, x.shape[-1])), w) + b
     return y.reshape(lead + (w.shape[1],))
 
 
@@ -42,9 +42,9 @@ def ref_attention(qkv, num_heads):
 
     q, k, v = (heads(qkv.take(np.arange(i * d, (i + 1) * d), axis=2))
                for i in range(3))
-    att = softmax(q @ _transpose(k, (0, 1, 3, 2)) * (1.0 / np.sqrt(hd)),
-                  axis=-1)
-    return _transpose(att @ v, (0, 2, 1, 3)).reshape(b, t, d)
+    scores = matmul(q, _transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+    att = softmax(scores, axis=-1)
+    return _transpose(matmul(att, v), (0, 2, 1, 3)).reshape(b, t, d)
 
 
 def ref_layernorm(x, gamma, beta, eps=1e-6):
@@ -115,7 +115,7 @@ def test_linear_without_bias_and_frozen_weight():
     rng = np.random.default_rng(2)
     x = _leaf(rng, 3, 4, 6)
     w = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
-    _check(lambda: linear(x, w), lambda: (x.reshape((-1, 6)) @ w).reshape(
+    _check(lambda: linear(x, w), lambda: matmul(x.reshape((-1, 6)), w).reshape(
         (3, 4, 5)), [x], (3, 4, 5), 3)
     assert w.grad is None
 

@@ -9,9 +9,10 @@ from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
 from dualmim.pseudolabel import (TEMPERATURE_FLOOR, mean_row_entropy,
                                  nearest_patch_match_batch,
-                                 sinkhorn_normalize, student_assign,
-                                 teacher_targets)
+                                 sinkhorn_normalize, teacher_targets)
 from dualmim.tensor import Tensor
+
+from tape_ref import student_assign
 
 
 def _sinkhorn_oracle(scores, temperature, iters):

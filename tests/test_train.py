@@ -16,12 +16,14 @@ from dualmim.config import TrainConfig
 from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
                           make_synthetic_cifar, standardize)
 from dualmim.errors import DataError
+from dualmim.optim import AdamW
 from dualmim.tensor import Tensor, no_grad
-from dualmim.train import (METRICS_HEADER, Trainer, encode_features,
-                           export_metrics, knn_eval, linear_probe, pretrain)
+from dualmim.train import (KNN_BLOCK_ROWS, METRICS_HEADER, Trainer,
+                           encode_features, export_metrics, knn_eval,
+                           linear_probe, pretrain)
 from dualmim.vit import Encoder, patchify_batch
 
-from tape_ref import fold_major_patch_loss
+from tape_ref import fold_major_patch_loss, matmul, student_assign
 from tiny_model import composed_setup, tiny_config
 
 
@@ -332,8 +334,8 @@ def test_streamed_patch_loss_matches_fold_major_table(monkeypatch,
         match = (moved, match[1], match[2])
         assert not (match[0] == empty_fold).any()
     calls, patch_loss = _capture_patch_loss(monkeypatch)
-    report, got = trainer.compute_loss(batch, *ctx, frozen_match=match,
-                                       train=False)
+    monkeypatch.setattr(pl, "nearest_patch_match_batch", lambda *_: match)
+    report, got = trainer.compute_loss(batch, *ctx, train=False)
     assert got is match and len(calls) == 1
     feats, weight, _, teacher_feats, teacher_weight, sk = calls[0]
     out = []
@@ -403,6 +405,87 @@ def test_probe_constant_labels_perfect(tiny_ds):
                  images=tiny_ds.images)
     acc = linear_probe(enc, cfg.model, ds, ds, probe_epochs=3)
     assert acc == 1.0
+
+
+def test_probe_matches_composed_reference_bit_for_bit(tiny_ds, monkeypatch):
+    """The probe's fused `linear` and `softmax` train the same w and b,
+    bit for bit, as the composed matmul + add + student_assign(., 1) they
+    replaced, over 8 AdamW steps, and give the same accuracy."""
+    cfg = _tiny_cfg()
+    enc = Encoder(cfg.model, np.random.default_rng(9))
+    opts = []
+
+    class Spy(AdamW):
+        def __init__(self, params, **kw):
+            super().__init__(params, **kw)
+            opts.append(self)
+
+    monkeypatch.setattr(train_mod, "AdamW", Spy)
+    acc = linear_probe(enc, cfg.model, tiny_ds, tiny_ds, probe_epochs=2,
+                       batch_size=16)
+    monkeypatch.setattr(train_mod, "linear", lambda x, w, b: matmul(x, w) + b)
+    monkeypatch.setattr(train_mod, "softmax", lambda z: student_assign(z, 1.0))
+    ref = linear_probe(enc, cfg.model, tiny_ds, tiny_ds, probe_epochs=2,
+                       batch_size=16)
+    fused, composed = opts
+    assert fused.step_count == composed.step_count == 8
+    for name in ("w", "b"):
+        assert np.array_equal(fused.params[name].data,
+                              composed.params[name].data)
+    assert acc == ref
+
+
+def test_eval_rejects_images_of_another_shape(tiny_ds, tmp_path):
+    """Records whose shape is not the model's input stop `pretrain` before
+    it writes anything, and stop `encode_features`."""
+    cfg = _tiny_cfg()
+    cfg.model.image_size = 16
+    out = tmp_path / "run"
+    with pytest.raises(DataError, match=r"the model takes \(16, 16, 3\)"):
+        pretrain(cfg, tiny_ds, str(out), max_iters=1)
+    assert not out.exists()
+    enc = Encoder(cfg.model, np.random.default_rng(0))
+    with pytest.raises(DataError, match="per record"):
+        encode_features(enc, cfg.model, tiny_ds)
+
+
+def _knn_reference(train_feats, train_labels, test_feats, k):
+    """The unblocked kNN: predictions from one [test, train] similarity
+    matrix and one stable argsort."""
+    def unit(x):
+        return x / (np.linalg.norm(x, axis=1, keepdims=True) + 1e-12)
+
+    sims = unit(np.asarray(test_feats)) @ unit(np.asarray(train_feats)).T
+    nbr = np.argsort(-sims, axis=1, kind="stable")[:, :min(k, sims.shape[1])]
+    votes = np.asarray(train_labels)[nbr]
+    return np.array([np.bincount(v).argmax() for v in votes]), sims
+
+
+@pytest.mark.parametrize("n_test", [1, KNN_BLOCK_ROWS, 2 * KNN_BLOCK_ROWS + 5])
+def test_blocked_knn_matches_full_matrix_on_ties(n_test):
+    """Rows of four ones in 16 dims have unit entries of exactly 0.5, so
+    every cosine is a multiple of 1/4 and neighbors tie exactly: the
+    blocked kNN predicts what the full-matrix reference does, query by
+    query (an accuracy of 1 against the reference's predictions)."""
+    rng = np.random.default_rng(n_test)
+
+    def four_hot(n):
+        x = np.zeros((n, 16), np.float32)
+        for row in x:
+            row[rng.choice(16, 4, replace=False)] = 1.0
+        return x
+
+    train, test = four_hot(300), four_hot(n_test)
+    labels = rng.integers(0, 10, 300)
+    for k in (1, 5, 20, 300, 400):
+        pred, sims = _knn_reference(train, labels, test, k)
+        if k < 300:   # the k-th and (k+1)-th neighbors tie somewhere
+            top = -np.sort(-sims, axis=1)
+            assert (top[:, k - 1] == top[:, k]).any()
+        assert knn_eval(train, labels, test, pred, k) == 1.0
+    gauss = rng.standard_normal((n_test, 16)).astype(np.float32)
+    pred, _ = _knn_reference(train, labels, gauss, 7)
+    assert knn_eval(train, labels, gauss, pred, 7) == 1.0
 
 
 def test_knn_self_neighbor_perfect():

@@ -4,6 +4,7 @@ tests run on, and the frozen-target loss closure that `f64_oracle` mirrors.
 
 import numpy as np
 
+from dualmim import pseudolabel as pl
 from dualmim.config import TrainConfig
 from dualmim.data import Batch
 from dualmim.train import Trainer
@@ -29,8 +30,9 @@ def composed_setup(seed=0):
     """Build the tiny model, one batch, and a frozen-target loss closure.
 
     Teacher targets and the patch matching are computed once and frozen,
-    matching the stop-gradient semantics of the training objective, so the
-    returned `build()` is a pure function of the student parameters.
+    matching the stop-gradient semantics of the training objective: `build()`
+    stubs `nearest_patch_match_batch` to return the frozen match, so it is a
+    pure function of the student parameters.
 
     Returns (trainer, batch, ctx, match, build) where `ctx` is the frozen
     prepare_step output and `build()` re-runs the student forward and
@@ -40,15 +42,17 @@ def composed_setup(seed=0):
     trainer = Trainer(cfg, iters_per_epoch=1)
     rng = np.random.default_rng(seed)
     imgs = rng.normal(0, 1, (2, 16, 16, 3)).astype(np.float32)
-    batch = Batch(simple=imgs, complex=imgs[::-1].copy(),
-                  labels=np.zeros(2, np.uint8),
-                  record_indices=np.arange(2))
+    batch = Batch(simple=imgs, complex=imgs[::-1].copy())
     ctx = trainer.prepare_step(batch, 0, 0)
     _, match = trainer.compute_loss(batch, *ctx, train=False)
 
     def build():
-        report, _ = trainer.compute_loss(batch, *ctx, frozen_match=match,
-                                         train=False)
+        real = pl.nearest_patch_match_batch
+        pl.nearest_patch_match_batch = lambda *_: match
+        try:
+            report, _ = trainer.compute_loss(batch, *ctx, train=False)
+        finally:
+            pl.nearest_patch_match_batch = real
         return report.total_tensor
 
     return trainer, batch, ctx, match, build
