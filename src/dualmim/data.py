@@ -235,7 +235,9 @@ def solarize(img, threshold):
 def standardize(img, cfg):
     mean = np.asarray(cfg.mean, np.float32)
     std = np.asarray(cfg.std, np.float32)
-    return (img - mean) / std
+    out = img - mean
+    out /= std
+    return out
 
 
 # -- the two views: per-record draws, then whole-batch stages ---------------------

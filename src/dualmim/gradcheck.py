@@ -102,6 +102,11 @@ def op_suite(seed=0):
     results.append(("attention", check_grads(
         lambda: (attention(qkv, 2) * w).mean(), {"qkv": qkv})))
 
+    # two of five query rows: dq is zero past row 2, dk and dv are not
+    w = const(2, 2, 4)
+    results.append(("attention_n_query", check_grads(
+        lambda: (attention(qkv, 2, n_query=2) * w).mean(), {"qkv": qkv})))
+
     x, w = randn(3, 5), const(3, 5)
     results.append(("l2_normalize", check_grads(
         lambda: (l2_normalize(x, axis=-1) * w).mean(), {"x": x})))

@@ -296,22 +296,26 @@ def linear(x, w, b=None):
                           "linear", bwd)
 
 
-def attention(qkv, num_heads):
+def attention(qkv, num_heads, n_query=None):
     """Multi-head softmax(q k^T / sqrt(hd)) v on a [B, T, 3D] input, one node.
 
-    q, k and v are head views of the input's [B, T, 3, H, hd] reshape. The
-    scores and their softmax are formed in place on one [B, H, T, T] buffer,
-    applied to v, and the heads merged. Backward keeps only the
-    probabilities: dv = att^T g, ds = att * (g v^T - rowsum(g v^T * att)) /
-    sqrt(hd), dq = ds k, dk = ds^T q, written into one [3, B, H, T, hd]
-    buffer and passed on as one [B, T, 3D] copy.
+    q, k and v are head views of the input's [B, T, 3, H, hd] reshape. Only
+    the first `n_query` query rows (all T when None) attend, to every key:
+    the output is [B, n, D]. The scores and their softmax are formed in
+    place on one [B, H, n, T] buffer, applied to v, and the heads merged.
+    Backward keeps only the probabilities: dv = att^T g, ds = att * (g v^T
+    - rowsum(g v^T * att)) / sqrt(hd), dq = ds k (zero past row n), dk =
+    ds^T q, written into one [3, B, H, T, hd] buffer and passed on as one
+    [B, T, 3D] copy.
     """
     b, t, d3 = qkv.shape
+    n = t if n_query is None else n_query
     d = d3 // 3
     hd = d // num_heads
     scale = np.float32(1.0 / np.sqrt(hd))
     qh, kh, vh = qkv.data.reshape(b, t, 3, num_heads, hd).transpose(
         2, 0, 3, 1, 4)
+    qh = qh[:, :, :n]
     att = qh @ kh.transpose(0, 1, 3, 2)
     att *= scale
     att -= att.max(axis=-1, keepdims=True)
@@ -319,18 +323,19 @@ def attention(qkv, num_heads):
     att /= att.sum(axis=-1, keepdims=True)
 
     def bwd(g):
-        gh = g.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
+        gh = g.reshape(b, n, num_heads, hd).transpose(0, 2, 1, 3)
         ds = gh @ vh.transpose(0, 1, 3, 2)
         ds -= np.einsum("bhij,bhij->bhi", ds, att)[..., None]
         ds *= att
         ds *= scale
         dqkv = np.empty((3, b, num_heads, t, hd), np.float32)
-        np.matmul(ds, kh, out=dqkv[0])
+        np.matmul(ds, kh, out=dqkv[0, :, :, :n])
+        dqkv[0, :, :, n:] = 0.0
         np.matmul(ds.transpose(0, 1, 3, 2), qh, out=dqkv[1])
         np.matmul(att.transpose(0, 1, 3, 2), gh, out=dqkv[2])
         qkv._accumulate(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, t, d3))
 
-    out = (att @ vh).transpose(0, 2, 1, 3).reshape(b, t, d)
+    out = (att @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
     return Tensor._result(out, (qkv,), "attention", bwd)
 
 

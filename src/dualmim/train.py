@@ -429,11 +429,12 @@ def encode_features(encoder, model_cfg, dataset, augment_cfg=None,
     feats = np.empty((n, model_cfg.embed_dim), np.float32)
     all_idx = np.arange(model_cfg.num_patches)
     for lo in range(0, n, batch_size):
-        imgs = dataset.images[lo:lo + batch_size].astype(np.float32) / 255.0
+        imgs = dataset.images[lo:lo + batch_size].astype(np.float32)
+        imgs /= 255.0
         imgs = data_mod.standardize(imgs, aug)
         patches = patchify_batch(imgs, model_cfg.patch_size)
         with no_grad():
-            tokens = encoder(patches, all_idx)
+            tokens = encoder(patches, all_idx, class_only=True)
         feats[lo:lo + imgs.shape[0]] = tokens.data[:, 0, :]
     return feats
 
@@ -467,17 +468,28 @@ def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
 def knn_eval(train_feats, train_labels, test_feats, test_labels, k):
     """Cosine-similarity k-nearest-neighbor top-1 accuracy, over query
     blocks of KNN_BLOCK_ROWS rows. A tied neighbor goes to the lowest train
-    index (stable sort), a tied vote to the lowest label."""
+    index, a tied vote to the lowest label."""
+    if k < 1:
+        raise ValueError(f"knn_eval needs k >= 1, got {k}")
+
     def unit(x):
         return x / (np.linalg.norm(x, axis=1, keepdims=True) + 1e-12)
 
     train_t = unit(np.asarray(train_feats)).T
     test = unit(np.asarray(test_feats))
     labels, pred = np.asarray(train_labels), []
+    k = min(k, len(labels))
     for lo in range(0, len(test), KNN_BLOCK_ROWS):
-        sims = test[lo:lo + KNN_BLOCK_ROWS] @ train_t
-        nbr = np.argsort(-sims, axis=1, kind="stable")[:, :k]
-        pred += [np.bincount(v).argmax() for v in labels[nbr]]
+        dist = np.negative(test[lo:lo + KNN_BLOCK_ROWS] @ train_t)
+        # every entry below the k-th smallest distance, then as many of
+        # those tied at it as are still needed, lowest index first
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1, None]
+        nbr = dist < kth
+        tied = dist == kth
+        need = k - nbr.sum(axis=1)
+        over = np.flatnonzero(tied.sum(axis=1) > need)
+        tied[over] &= np.cumsum(tied[over], axis=1) <= need[over, None]
+        pred += [np.bincount(labels[row]).argmax() for row in nbr | tied]
     return float((np.array(pred) == np.asarray(test_labels)).mean())
 
 

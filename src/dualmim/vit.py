@@ -177,8 +177,8 @@ class Attention(Module):
         self.qkv = Linear(rng, dim, 3 * dim)
         self.proj = Linear(rng, dim, dim)
 
-    def __call__(self, x):
-        return self.proj(attention(self.qkv(x), self.num_heads))
+    def __call__(self, x, n_query=None):
+        return self.proj(attention(self.qkv(x), self.num_heads, n_query))
 
 
 class Mlp(Module):
@@ -200,24 +200,26 @@ class Block(Module):
         self.mlp = Mlp(rng, dim, int(dim * mlp_ratio))
         self.drop_path = drop_path
 
-    def _branch_scale(self, batch, train, rng):
-        """Per-sample keep mask for stochastic depth, scaled by 1/keep."""
-        rate = self.drop_path
+    def _residual(self, x, r, train, rng):
+        """x + r; in training, r times a per-sample stochastic-depth keep
+        mask scaled by 1/keep."""
+        rate, batch = self.drop_path, x.shape[0]
         if not train or rate == 0.0:
-            return None
+            return x + r
         if rate >= 1.0:
-            return np.zeros((batch, 1, 1), np.float32)
+            return x + r * Tensor(np.zeros((batch, 1, 1), np.float32))
         keep = 1.0 - rate
         mask = (rng.random(batch) < keep).astype(np.float32) / keep
-        return mask.reshape(batch, 1, 1)
+        return x + r * Tensor(mask.reshape(batch, 1, 1))
 
-    def __call__(self, x, train=False, rng=None):
-        for branch in (lambda z: self.attn(self.norm1(z)),
-                       lambda z: self.mlp(self.norm2(z))):
-            scale = self._branch_scale(x.shape[0], train, rng)
-            r = branch(x)
-            x = x + (r if scale is None else r * Tensor(scale))
-        return x
+    def __call__(self, x, train=False, rng=None, rows=None):
+        """x: [B, T, D]. With `rows`, only the first `rows` tokens go on
+        past attention (they still attend to all T): returns [B, rows, D]."""
+        r = self.attn(self.norm1(x), rows)
+        if rows is not None:
+            x = x.take(np.arange(rows), axis=1)
+        x = self._residual(x, r, train, rng)
+        return self._residual(x, self.mlp(self.norm2(x)), train, rng)
 
 
 class Encoder(Module):
@@ -234,10 +236,12 @@ class Encoder(Module):
                        for _ in range(cfg.depth)]
         self.norm = LayerNorm(d)
 
-    def __call__(self, patches, patch_indices, train=False, rng=None):
+    def __call__(self, patches, patch_indices, train=False, rng=None,
+                 class_only=False):
         """patches: [B, T, P*P*C] (Tensor or array); patch_indices: [T] ints.
 
-        Returns [B, T+1, D] with the class token at row 0. A call that
+        Returns [B, T+1, D] with the class token at row 0, or with
+        `class_only` just that row, [B, 1, D], the same bits. A call that
         records no tape (inside `no_grad()`, or a frozen teacher on plain
         input) and holds more than INFER_BLOCK_TOKENS tokens runs in row
         blocks, one worker thread per OpenBLAS thread, written into one
@@ -254,15 +258,17 @@ class Encoder(Module):
         tokens = b * (idx.size + 1)
         if (tokens <= INFER_BLOCK_TOKENS or train
                 or records_tape([patches, *self.params().values()])):
-            return self._forward(patches, idx, train, rng)
-        out = np.empty((b, idx.size + 1, self.cfg.embed_dim), np.float32)
+            return self._forward(patches, idx, train, rng, class_only)
+        out = np.empty((b, 1 if class_only else idx.size + 1,
+                        self.cfg.embed_dim), np.float32)
         blas = _openblas()
         workers = blas[0]() if blas else 1
         n_blocks = min(b, -(-tokens * workers // INFER_BLOCK_TOKENS))
 
         def block(i):
             lo, hi = b * i // n_blocks, b * (i + 1) // n_blocks
-            out[lo:hi] = self._forward(Tensor(patches.data[lo:hi]), idx).data
+            out[lo:hi] = self._forward(Tensor(patches.data[lo:hi]), idx,
+                                       class_only=class_only).data
 
         if workers == 1:
             list(map(block, range(n_blocks)))
@@ -278,22 +284,31 @@ class Encoder(Module):
             blas[1](workers)
         return Tensor(out)
 
-    def _forward(self, patches, idx, train=False, rng=None):
-        """One pass over the whole of `patches` (a Tensor; `idx` checked)."""
+    def _forward(self, patches, idx, train=False, rng=None, class_only=False):
+        """One pass over the whole of `patches` (a Tensor; `idx` checked).
+        With `class_only`, the last block runs past attention, and the
+        picked layers are summed and normed, on the first two rows only;
+        row 0 is returned."""
         b = patches.shape[0]
         x = self.patch_embed(patches) + Tensor(self.pos[idx])
         cls = self.cls_token + Tensor(np.zeros((b, 1, self.cfg.embed_dim), np.float32))
         x = concat([cls, x], axis=1)
+        # two rows, not one: numpy sends a one-row matmul to GEMV, which
+        # sums in another order than GEMM and would change row 0's bits
+        rows = min(2, x.shape[1]) if class_only else None
         picked = []
         want = set(self.cfg.hierarchical_layers or (self.cfg.depth,))
         for i, blk in enumerate(self.blocks, start=1):
-            x = blk(x, train=train, rng=rng)
+            last = i == self.cfg.depth
+            x = blk(x, train=train, rng=rng, rows=rows if last else None)
             if i in want:
-                picked.append(x)
+                picked.append(x if last or rows is None
+                              else x.take(np.arange(rows), axis=1))
         out = picked[0]
         for extra in picked[1:]:
             out = out + extra
-        return self.norm(out)
+        out = self.norm(out)
+        return out.take(np.array([0]), axis=1) if class_only else out
 
 
 class Decoder(Module):

@@ -55,21 +55,28 @@ def _patchify_batch(images, p):
     return x.reshape(b, (h // p) * (w // p), p * p * c)
 
 
-def _block(x, prm, prefix, num_heads):
-    b, t, d = x.shape
+def attention(qkv, num_heads, n_query=None):
+    """Multi-head attention of the first `n_query` rows (all when None) of
+    a [B, T, 3D] q|k|v input over every row; returns [B, n, D]."""
+    b, t, d3 = qkv.shape
+    n = t if n_query is None else n_query
+    d = d3 // 3
     hd = d // num_heads
-
-    def lin(z, name):
-        return z @ prm[f"{prefix}.{name}.w"] + prm[f"{prefix}.{name}.b"]
 
     def heads(z):
         return z.reshape(b, t, num_heads, hd).transpose(0, 2, 1, 3)
 
+    q, k, v = (heads(z) for z in np.split(qkv, 3, axis=-1))
+    att = _softmax(q[:, :, :n] @ k.transpose(0, 1, 3, 2) / np.sqrt(hd))
+    return (att @ v).transpose(0, 2, 1, 3).reshape(b, n, d)
+
+
+def _block(x, prm, prefix, num_heads):
+    def lin(z, name):
+        return z @ prm[f"{prefix}.{name}.w"] + prm[f"{prefix}.{name}.b"]
+
     h = _layernorm(x, prm[f"{prefix}.norm1.gamma"], prm[f"{prefix}.norm1.beta"])
-    q, k, v = (heads(z) for z in np.split(lin(h, "attn.qkv"), 3, axis=-1))
-    att = _softmax(q @ k.transpose(0, 1, 3, 2) / np.sqrt(hd))
-    o = (att @ v).transpose(0, 2, 1, 3).reshape(b, t, d)
-    x = x + lin(o, "attn.proj")
+    x = x + lin(attention(lin(h, "attn.qkv"), num_heads), "attn.proj")
     h = _layernorm(x, prm[f"{prefix}.norm2.gamma"], prm[f"{prefix}.norm2.beta"])
     h = lin(_gelu(lin(h, "mlp.fc1")), "mlp.fc2")
     return x + h

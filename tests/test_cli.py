@@ -332,6 +332,39 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_encode_features_same_under_one_and_two_blas_threads(tmp_path):
+    """Frozen class-token features of a fixed checkpoint are the same
+    bytes under 1 and 2 OpenBLAS threads. With 64 patches a 64-image batch
+    holds 64 x 65 tokens, so the class-only encoder runs it as 2 row blocks
+    on one thread and 4 on two."""
+    n = 64
+    assert n * (64 + 1) > INFER_BLOCK_TOKENS
+    data = str(tmp_path / "train.bin")
+    assert main(["make-data", "--data-dir", data, "--n", str(n),
+                 "--seed", "3"]) == 0
+    tiny = dict(zip(TINY[::2], TINY[1::2]), **{"--model.patch_size": "4"})
+    ckpt = str(tmp_path / "checkpoint.bin")
+    Trainer(load_config(None, {k[2:]: v for k, v in tiny.items()}),
+            iters_per_epoch=1).save(ckpt)
+    script = ("import sys\n"
+              "from dualmim.data import load_data_dir\n"
+              "from dualmim.train import Trainer, encode_features\n"
+              "t = Trainer.load(sys.argv[1])\n"
+              "f = encode_features(t.encoder, t.cfg.model, "
+              "load_data_dir(sys.argv[2]), t.cfg.augment)\n"
+              "sys.stdout.buffer.write(f.tobytes())\n")
+    src = os.path.dirname(os.path.dirname(dualmim.__file__))
+    feats = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        feats.append(subprocess.run(
+            [sys.executable, "-c", script, ckpt, data], env=env, check=True,
+            capture_output=True).stdout)
+    assert len(feats[0]) == n * 8 * 4
+    assert np.frombuffer(feats[0], np.float32).std() > 0
+    assert feats[0] == feats[1]
+
+
 @pytest.mark.xfail(raises=AssertionError, reason=(
     "OpenBLAS may split the K sum of a skinny GEMM by thread count: the "
     "decoder MLP weight gradients ([32, 9360] @ [9360, 8]) differ in their "

@@ -11,6 +11,7 @@ import numpy as np
 
 from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
                             layernorm, linear, softmax)
+from f64_oracle import attention as f64_attention
 from tape_ref import div, matmul, sqrt
 
 REL = 1e-5
@@ -32,8 +33,9 @@ def ref_linear(x, w, b):
     return y.reshape(lead + (w.shape[1],))
 
 
-def ref_attention(qkv, num_heads):
+def ref_attention(qkv, num_heads, n_query=None):
     b, t, d3 = qkv.shape
+    n = t if n_query is None else n_query
     d = d3 // 3
     hd = d // num_heads
 
@@ -42,9 +44,10 @@ def ref_attention(qkv, num_heads):
 
     q, k, v = (heads(qkv.take(np.arange(i * d, (i + 1) * d), axis=2))
                for i in range(3))
+    q = q.take(np.arange(n), axis=2)
     scores = matmul(q, _transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
     att = softmax(scores, axis=-1)
-    return _transpose(matmul(att, v), (0, 2, 1, 3)).reshape(b, t, d)
+    return _transpose(matmul(att, v), (0, 2, 1, 3)).reshape(b, n, d)
 
 
 def ref_layernorm(x, gamma, beta, eps=1e-6):
@@ -122,10 +125,47 @@ def test_linear_without_bias_and_frozen_weight():
 
 def test_attention_matches_composed():
     rng = np.random.default_rng(4)
-    for b, t, d, h in ((2, 5, 8, 2), (3, 17, 16, 4), (1, 9, 6, 1)):
+    for b, t, d, h, n in ((2, 5, 8, 2, None), (3, 17, 16, 4, None),
+                          (1, 9, 6, 1, None), (2, 5, 8, 2, 2),
+                          (3, 17, 16, 4, 2), (1, 9, 6, 1, 1)):
         qkv = _leaf(rng, b, t, 3 * d)
-        _check(lambda: attention(qkv, h), lambda: ref_attention(qkv, h),
-               [qkv], (b, t, d), 5)
+        _check(lambda: attention(qkv, h, n), lambda: ref_attention(qkv, h, n),
+               [qkv], (b, n or t, d), 5)
+
+
+def test_attention_n_query_none_is_all_rows_bit_for_bit():
+    rng = np.random.default_rng(14)
+    qkv = _leaf(rng, 3, 7, 24)
+    upstream = rng.standard_normal((3, 7, 8)).astype(np.float32)
+    val, (grad,) = _run(lambda: attention(qkv, 2), [qkv], upstream)
+    val_t, (grad_t,) = _run(lambda: attention(qkv, 2, n_query=7), [qkv],
+                            upstream)
+    assert np.array_equal(val, val_t) and np.array_equal(grad, grad_t)
+
+
+def test_attention_n_query_matches_f64_oracle():
+    """Value and gradient within 1e-6 of the float64 oracle's attention,
+    its gradient by central differences of sum(out * upstream)."""
+    rng = np.random.default_rng(15)
+    b, t, d, h, n = 2, 6, 8, 2, 2
+    qkv = _leaf(rng, b, t, 3 * d)
+    upstream = rng.standard_normal((b, n, d)).astype(np.float32)
+    val, (grad,) = _run(lambda: attention(qkv, h, n_query=n), [qkv], upstream)
+    x = qkv.data.astype(np.float64)
+    ref = f64_attention(x, h, n)
+    assert np.abs(val - ref).max() < 1e-6
+    fd = np.zeros_like(x)
+    eps = 1e-6
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + eps
+        hi = (f64_attention(x, h, n) * upstream).sum()
+        x[i] = orig - eps
+        lo = (f64_attention(x, h, n) * upstream).sum()
+        x[i] = orig
+        fd[i] = (hi - lo) / (2 * eps)
+    assert np.abs(grad - fd).max() < 1e-6
+    assert np.abs(fd[:, n:, :d]).max() == 0.0    # no query past row n
 
 
 def test_attention_shared_input():

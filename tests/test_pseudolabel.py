@@ -25,16 +25,19 @@ def _sinkhorn_oracle(scores, temperature, iters):
     return q
 
 
-def _log_sinkhorn_oracle(scores, temperature, iters):
+def _log_sinkhorn_oracle(scores, temperature, iters, row_step=False):
     """The same loop on float64 log potentials, for scores whose exp
-    overflows: Q = exp(s / T + a + c)."""
+    overflows: Q = exp(s / T + a + c). With `row_step`, also the factor
+    exp(a - a_prev) = 1 / s_i by which the last row step scaled each row,
+    s_i the row's sum after the last column step."""
     x = np.asarray(scores, np.float64) / temperature
     b, kc = x.shape
     a = np.zeros(b)
     for _ in range(iters):
         c = np.log(b / kc) - logsumexp(x + a[:, None], axis=0)
-        a = -logsumexp(x + c, axis=1)
-    return np.exp(x + a[:, None] + c)
+        prev, a = a, -logsumexp(x + c, axis=1)
+    q = np.exp(x + a[:, None] + c)
+    return (q, np.exp(a - prev)) if row_step else q
 
 
 def _eye(scores):
@@ -245,14 +248,24 @@ def test_sinkhorn_unit_bounded_scores_properties(b, kc, h, temp, iters,
     """Scores of unit features against prototypes of norm at most 1, at
     any temperature from the floor up: the kernel never raises, rows sum
     to 1, Q matches the log-domain oracle and the in-pass entropy matches
-    the rows, with E spanning exp(-80) to 1 at the +-1 extremes."""
+    the rows, with E spanning exp(-80) to 1 at the +-1 extremes.
+
+    Column sums: the last column step leaves every column at B/K_c, and
+    the row step after it scales row i by r_i = 1 / s_i, s_i its sum. So
+    column j ends at B/K_c * sum_i w_ij r_i with weights w_ij >= 0 that sum
+    to 1: within B/K_c * [min r, max r] (r from the oracle), widened by B
+    times the 2e-6 the kernel may differ from the oracle per entry."""
     feats, weight = _unit_bounded_scores(np.random.default_rng(seed), b, kc,
                                          h, extreme)
     q, entropy = sinkhorn_normalize(feats, weight, iters, temp)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
-    oracle = _log_sinkhorn_oracle(feats @ weight, temp, iters)
+    oracle, r = _log_sinkhorn_oracle(feats @ weight, temp, iters,
+                                     row_step=True)
     assert np.abs(q - oracle).max() < 2e-6
     assert abs(entropy - mean_row_entropy(q)) < 5e-5
+    cols, target, slack = q.sum(axis=0, dtype=np.float64), b / kc, 2e-6 * b
+    assert cols.min() >= target * r.min() - slack
+    assert cols.max() <= target * r.max() + slack
 
 
 @pytest.mark.filterwarnings("error")

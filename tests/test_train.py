@@ -567,8 +567,8 @@ def test_encode_features_records_no_tape(tiny_ds):
     enc = Encoder(cfg.model, np.random.default_rng(6))
     outs = []
 
-    def spy(patches, idx):
-        outs.append(enc(patches, idx))
+    def spy(patches, idx, **kw):
+        outs.append(enc(patches, idx, **kw))
         return outs[-1]
 
     feats = encode_features(spy, cfg.model, tiny_ds, batch_size=24)

@@ -93,6 +93,46 @@ def test_encoder_permutation_equivariance():
     assert np.allclose(out[:, 1:][:, perm], out_p[:, 1:], atol=1e-5)
 
 
+@pytest.mark.parametrize("hier", [None, (2, 4)])
+@pytest.mark.parametrize("batch", [1, 2, 3, 17])
+def test_encoder_class_only_is_row_zero_bit_for_bit(fake_blas, monkeypatch,
+                                                   batch, hier):
+    """The last block past attention and the final norm run on two rows:
+    row 0 has the full pass's bits, taped, untaped and in threaded row
+    blocks, and its gradients are those of the full pass's row 0."""
+    enc = Encoder(_cfg(depth=4, hierarchical_layers=hier),
+                  np.random.default_rng(10))
+    rng = np.random.default_rng(batch)
+    patches = rng.standard_normal((batch, 16, 48)).astype(np.float32)
+    idx = rng.permutation(16)
+    upstream = Tensor(rng.standard_normal((batch, 1, 8)).astype(np.float32))
+    grads = []
+    for class_only in (False, True):
+        out = enc(patches, idx, class_only=class_only)
+        if not class_only:
+            out = out.take(np.array([0]), axis=1)
+        (out * upstream).sum().backward()
+        grads.append({k: t.grad for k, t in enc.params().items()})
+        for t in enc.params().values():
+            t.grad = None
+    assert out.shape == (batch, 1, 8)
+    with no_grad():
+        full = enc(patches, idx)
+        frozen = enc(patches, idx, class_only=True)
+    assert np.array_equal(out.data, full.data[:, :1])
+    assert np.array_equal(frozen.data, full.data[:, :1])
+    for name, g in grads[0].items():
+        assert np.allclose(grads[1][name], g, rtol=1e-5, atol=1e-6), name
+    # two workers whose blocks in flight hold at most 40 tokens, 2 images
+    # of 17: 3 images run as 3 blocks, 17 as 15 ragged ones
+    blas = fake_blas(2)
+    monkeypatch.setattr(vit, "INFER_BLOCK_TOKENS", 40)
+    with no_grad():
+        blocked = enc(patches, idx, class_only=True)
+    assert np.array_equal(blocked.data, full.data[:, :1])
+    assert blas.sets == ([1, 2] if batch > 2 else [])
+
+
 def _count_forward(monkeypatch):
     calls = []
     raw = Encoder._forward
