@@ -86,8 +86,8 @@ def _config(args, overrides):
 
 
 def _split(dataset, holdout):
-    if holdout >= len(dataset):
-        raise DataError(f"holdout {holdout} >= dataset size {len(dataset)}")
+    if not 0 < holdout < len(dataset):
+        raise DataError(f"holdout {holdout} not in 1..{len(dataset) - 1}")
     train = Dataset(labels=dataset.labels[:-holdout],
                     images=dataset.images[:-holdout])
     test = Dataset(labels=dataset.labels[-holdout:],
@@ -110,6 +110,8 @@ def main(argv=None):
         elif args.command in ("linear-probe", "knn-eval"):
             if args.data_dir is None:
                 raise DataError(f"{args.command} needs --data-dir")
+            if args.command == "knn-eval" and args.k < 1:
+                raise ConfigError(f"-k {args.k} must be >= 1")
             trainer = Trainer.load(args.checkpoint)
             ds = load_data_dir(args.data_dir)
             train_ds, test_ds = _split(ds, args.holdout)

@@ -129,12 +129,11 @@ def op_suite(seed=0):
         lambda: (concat([x.take(np.array([0, 2, 2]), axis=1), x * x], axis=1)
                  .reshape(7, 3) * w).mean(), {"x": x})))
 
-    # row 0 (class) and position 2 are in no fold: their gradient is zero
-    t = randn(2, 6, 8)
+    # K = 2 folds of F = 2 rows after the class row, whose gradient is zero
+    t = randn(2, 1 + 4, 8)
     teacher = rng.normal(0, 1, (2, 2, 2, 8)).astype(np.float32)
-    folds = np.array([[3, 0], [4, 1]])
     results.append(("recon_loss", check_grads(
-        lambda: losses_mod.recon_loss(t, teacher, folds), {"t": t})))
+        lambda: losses_mod.recon_loss(t, teacher), {"t": t})))
 
     s = randn(3, 4, scale=0.5)
     p = np.abs(rng.normal(0, 1, (3, 4))).astype(np.float32)

@@ -46,24 +46,25 @@ def normalize_targets(teacher_tokens, eps=TARGET_EPS):
     return (t - mu) / np.sqrt(var + eps)
 
 
-def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
+def recon_loss(decoder_out, teacher_fold_tokens, eps=TARGET_EPS):
     """1 - mean cosine between the student rows at every masked position
     and their unit reconstruction targets, as one tape node.
 
-    `decoder_out`: [B, N+1, D] Tensor (class token at row 0);
-    `teacher_fold_tokens`: [K, B, F, D] raw teacher patch tokens (class
-    rows already stripped), fold k at the positions `folds[k]` of the
-    [K, F] `folds`. With s a student row, t its unit target and
-    n = sqrt(|s|^2 + eps), cos = s.t / n; over R rows the backward is
-    ds = -g/(R n) (t - cos s/n), written at the fold rows of one zeroed
-    [B, N+1, D] buffer. Returns the scalar Tensor.
+    `decoder_out`: [B, 1+K*F, D] Tensor, the class row and then the
+    student rows of fold 0, fold 1, ... (the decoder's output for the
+    queries `folds.reshape(-1)`); `teacher_fold_tokens`: [K, B, F, D] raw
+    teacher patch tokens (class rows already stripped). With s a student
+    row, t its unit target and n = sqrt(|s|^2 + eps), cos = s.t / n; over
+    R rows the backward is ds = -g/(R n) (t - cos s/n), written at rows 1:
+    of one zeroed [B, 1+K*F, D] buffer. Returns the scalar Tensor.
     """
     k, b, f, d = teacher_fold_tokens.shape
+    if decoder_out.shape[1] != 1 + k * f:
+        raise ValueError(f"{decoder_out.shape[1]} decoder rows, not 1+{k}*{f}")
     t = normalize_targets(teacher_fold_tokens, eps).transpose(
         1, 0, 2, 3).reshape(b, k * f, d)
     t /= np.linalg.norm(t, axis=-1, keepdims=True) + _COS_EPS
-    cols = folds.reshape(-1) + 1    # +1 skips the class row
-    s = decoder_out.data[:, cols]
+    s = decoder_out.data[:, 1:]     # row 0 is the class row
     n = np.sqrt((s * s).sum(axis=-1) + np.float32(_COS_EPS))
     cos = (s * t).sum(axis=-1) / n
     inv_r = np.float32(1.0 / cos.size)
@@ -72,7 +73,7 @@ def recon_loss(decoder_out, teacher_fold_tokens, folds, eps=TARGET_EPS):
     def bwd(g):
         ds = t - s * (cos / n)[..., None]
         full = np.zeros(decoder_out.shape, np.float32)
-        full[:, cols] = ds * (-g * inv_r / n)[..., None]
+        full[:, 1:] = ds * (-g * inv_r / n)[..., None]
         decoder_out._accumulate(full)
 
     return Tensor._result(loss, (decoder_out,), "recon", bwd)

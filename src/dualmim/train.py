@@ -134,7 +134,9 @@ class Trainer:
 
         Everything teacher-side arrives precomputed as constants (see
         `prepare_step`); `patch_loss` makes the patch targets from the
-        head's patch features and prototypes.
+        head's patch features and prototypes. The decoder returns the
+        class row, then the masked rows fold-major, as the [K, B, F, D]
+        teacher tokens are, and every loss reads those rows as they are.
         """
         cfg = self.cfg
         w = cfg.loss
@@ -143,21 +145,19 @@ class Trainer:
         encoded = self.encoder(visible, mask.visible_indices,
                                train=train, rng=dp_rng)
         dec_out = self.decoder(encoded, mask.visible_indices,
-                               mask.masked_indices)
+                               folds.reshape(-1))
 
         loss_m = None
         if w.lambda_m > 0:
-            loss_m = losses_mod.recon_loss(dec_out, rec_tokens, folds)
+            loss_m = losses_mod.recon_loss(dec_out, rec_tokens)
 
         loss_c = loss_p = match = None
         patch_entropy = class_entropy = 0.0
         if self.pseudo_enabled:
-            student_tokens = dec_out.take(
-                np.concatenate(([0], mask.masked_indices + 1)), axis=1)
-            cls_feat, patch_feat = self.head(student_tokens)
+            cls_feat, patch_feat = self.head(dec_out)
             if w.lambda_p > 0:
                 match = pl.nearest_patch_match_batch(
-                    student_tokens.data[:, 1:], teacher_feats)
+                    dec_out.data[:, 1:], teacher_feats)
                 loss_p, patch_entropy = patch_loss(
                     patch_feat, self.head.patch_out.w, match, patch_feats,
                     patch_weight, cfg.sinkhorn)

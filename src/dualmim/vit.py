@@ -326,35 +326,32 @@ class Decoder(Module):
         self.norm = LayerNorm(dd)
         self.pred = Linear(rng, dd, cfg.embed_dim)  # D_out = encoder D
 
-    def __call__(self, encoded, visible_indices, masked_indices):
+    def __call__(self, encoded, visible_indices, query_indices):
         """encoded: [B, V+1, D] from the encoder (class token at row 0).
 
-        Returns [B, N+1, D]: class token at row 0, then all N patch
-        positions in canonical order.
+        Returns [B, 1+Q, D]: the class row, then one row per entry of the
+        masked positions `query_indices`, in their order. The rows run as
+        [class, queries, visible], and the last block's attention is the
+        last step that reads the visible rows.
         """
         vis = np.asarray(visible_indices, dtype=np.intp)
-        msk = np.asarray(masked_indices, dtype=np.intp)
-        n = self.cfg.num_patches
-        if encoded.shape[1] != vis.size + 1:
+        qry = np.asarray(query_indices, dtype=np.intp)
+        v, q = vis.size, qry.size
+        if encoded.shape[1] != v + 1:
             raise ValueError(
                 f"encoded rows ({encoded.shape[1]}) do not cover class token "
-                f"plus {vis.size} visible tokens")
-        b = encoded.shape[0]
-        x = self.embed(encoded)
+                f"plus {v} visible tokens")
+        dd = self.cfg.decoder_dim
         mask_rows = self.mask_token + Tensor(
-            np.zeros((b, msk.size, self.cfg.decoder_dim), np.float32))
-        x = concat([x, mask_rows], axis=1)  # [cls, visible..., masked...]
-        # reorder rows to [cls, patch 0, ..., patch N-1]
-        current = np.concatenate([[-1], vis, msk])  # -1 marks the class row
-        perm = np.empty(n + 1, dtype=np.intp)
-        order = np.argsort(current)  # class row (-1) sorts first
-        perm[:] = order
-        x = x.take(perm, axis=1)
-        pos = np.concatenate(
-            [np.zeros((1, self.cfg.decoder_dim), np.float32), self.pos], axis=0)
-        x = x + Tensor(pos)
-        for blk in self.blocks:
+            np.zeros((encoded.shape[0], q, dd), np.float32))
+        pos = np.concatenate([np.zeros((1, dd), np.float32), self.pos[qry],
+                              self.pos[vis]])
+        x = concat([self.embed(encoded), mask_rows], axis=1).take(
+            np.r_[0, v + 1:v + 1 + q, 1:v + 1], axis=1) + Tensor(pos)
+        for blk in self.blocks[:-1]:
             x = blk(x)
+        x = (self.blocks[-1](x, rows=1 + q) if self.blocks
+             else x.take(np.arange(1 + q), axis=1))    # decoder_depth 0
         return self.pred(self.norm(x))
 
 

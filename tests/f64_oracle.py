@@ -158,7 +158,8 @@ class OracleLoss:
                    / np.sqrt((rows * rows).sum(-1) + _COS_EPS))
             total += w.lambda_m * (1.0 - cos.mean())
         if w.lambda_c > 0 or w.lambda_p > 0:
-            masked_rows = dec_out[:, self.msk + 1]
+            # the production match indexes the fold-major student rows
+            masked_rows = dec_out[:, self.rec_positions + 1]
             tokens = np.concatenate([dec_out[:, :1], masked_rows], axis=1)
             h = tokens
             for i in range(cfg.head.num_shared_layers):

@@ -5,14 +5,16 @@ so it has no matrix product, division or square root on the tape. The
 composed references the fused ops are checked against are built from
 these nodes plus the runtime's add, neg, mul, sum, mean and softmax. The
 patch loss, which the runtime streams fold by fold, is checked against one
-fold-major target table.
+fold-major target table, and the decoder, which returns only the loss rows
+in the order asked for, against its full pass in canonical patch order.
 """
 
 import numpy as np
 
 from dualmim.losses import _COS_EPS, tempered_cross_entropy
 from dualmim.pseudolabel import sinkhorn_normalize
-from dualmim.tensor import Tensor, _unbroadcast, ensure_tensor, softmax
+from dualmim.tensor import (Tensor, _unbroadcast, concat, ensure_tensor,
+                            softmax)
 
 
 def matmul(a, b):
@@ -95,3 +97,20 @@ def fold_major_patch_loss(feats, weight, match, teacher_feats,
         [(table, rows.reshape(-1), np.arange(b * m))],
         feats.reshape((b * m, -1)), weight, sk.student_temperature)
     return loss, float(np.mean([ent for _, ent in folds]))
+
+
+def canonical_decoder(decoder, encoded, vis, msk):
+    """`decoder`'s full pass in canonical patch order: [B, N+1, D], the
+    class row and then every patch position, each block and the final
+    norm and `pred` on all rows. Row 1 + i of it is patch i."""
+    vis, msk = np.asarray(vis, np.intp), np.asarray(msk, np.intp)
+    dd = decoder.cfg.decoder_dim
+    mask_rows = decoder.mask_token + Tensor(
+        np.zeros((encoded.shape[0], msk.size, dd), np.float32))
+    x = concat([decoder.embed(encoded), mask_rows], axis=1)
+    x = x.take(np.argsort(np.concatenate([[-1], vis, msk])), axis=1)
+    x = x + Tensor(np.concatenate([np.zeros((1, dd), np.float32),
+                                   decoder.pos]))
+    for blk in decoder.blocks:
+        x = blk(x)
+    return decoder.pred(decoder.norm(x))

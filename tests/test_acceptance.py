@@ -313,9 +313,8 @@ def _mae_reference_run(cfg, dataset, iters_per_epoch, n_iters):
             enc_out = encoder(visible, mask.visible_indices, train=True,
                               rng=dp_rng)
             dec_out = decoder(enc_out, mask.visible_indices,
-                              mask.masked_indices)
-            loss = losses_mod.recon_loss(dec_out, np.stack(rec_tokens),
-                                         folds)
+                              folds.reshape(-1))
+            loss = losses_mod.recon_loss(dec_out, np.stack(rec_tokens))
             opt.zero_grad()
             loss.backward()
             opt.step(lr_at(it_global,

@@ -62,35 +62,43 @@ def test_cosine_loss_matches_double_loop():
 
 @settings(derandomize=True, max_examples=60, deadline=10000, database=None)
 @given(b=st.integers(1, 5), k=st.integers(1, 4), f=st.integers(1, 5),
-       spare=st.integers(0, 3), d=st.integers(1, 24),
-       s_scale=st.floats(1e-3, 1e3), t_scale=st.floats(1e-3, 1e3),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_recon_loss_matches_composite_properties(b, k, f, spare, d, s_scale,
+       d=st.integers(1, 24), s_scale=st.floats(1e-3, 1e3),
+       t_scale=st.floats(1e-3, 1e3), seed=st.integers(0, 2 ** 32 - 1))
+def test_recon_loss_matches_composite_properties(b, k, f, d, s_scale,
                                                  t_scale, seed):
     """The fused node against the composite of elementary nodes, for any
     shapes and scales, with a zero student row and a constant teacher row:
     the loss within 1e-6, decoder_out.grad within 1e-5 of its largest
     magnitude, and one tape node whose only parent is the decoder output."""
     rng = np.random.default_rng(seed)
-    n = k * f + spare
-    x = (s_scale * rng.standard_normal((b, n + 1, d))).astype(np.float32)
+    x = (s_scale * rng.standard_normal((b, 1 + k * f, d))).astype(np.float32)
     tokens = (t_scale * rng.standard_normal((k, b, f, d))).astype(np.float32)
-    folds = rng.permutation(n)[:k * f].reshape(k, f)
-    x[0, folds[0, 0] + 1] = 0.0          # a zero student row
+    x[0, 1 + rng.integers(k * f)] = 0.0  # a zero student row
     tokens[-1, -1, -1] = t_scale         # a constant teacher row
     fused = Tensor(x, requires_grad=True)
-    loss = recon_loss(fused, tokens, folds)
+    loss = recon_loss(fused, tokens)
     assert loss._op == "recon" and loss._parents == (fused,)
     loss.backward()
     composed = Tensor(x, requires_grad=True)
     targets = normalize_targets(tokens).transpose(1, 0, 2, 3).reshape(
         b, k * f, d)
-    ref = cosine_recon_loss(composed.take(folds.reshape(-1) + 1, axis=1),
+    ref = cosine_recon_loss(composed.take(np.arange(1, 1 + k * f), axis=1),
                             targets)
     ref.backward()
     assert abs(float(loss.data) - float(ref.data)) <= 1e-6
     scale = np.abs(composed.grad).max()
     assert np.abs(fused.grad - composed.grad).max() <= 1e-5 * scale
+
+
+def test_recon_loss_rejects_a_row_count_mismatch():
+    """The decoder output must hold the class row plus one row per fold
+    position: [2, 1+2*3, 4] against three folds of two rows passes, and
+    one row more or fewer raises."""
+    tokens = np.ones((3, 2, 2, 4), np.float32)
+    recon_loss(Tensor(np.ones((2, 7, 4), np.float32)), tokens)
+    for rows in (6, 8):
+        with pytest.raises(ValueError, match="rows"):
+            recon_loss(Tensor(np.ones((2, rows, 4), np.float32)), tokens)
 
 
 def test_pseudo_loss_uniform_is_log_k():

@@ -8,12 +8,12 @@ import numpy as np
 import pytest
 
 from dualmim import vit
-from dualmim.masking import gen_mask
+from dualmim.masking import gen_mask, split_folds
 from dualmim.tensor import Tensor, no_grad
 from dualmim.vit import (Decoder, Encoder, ProjectionHead,
                          ProjectionHeadConfig, ViTConfig, patchify_batch)
 
-from tape_ref import cosine_recon_loss
+from tape_ref import canonical_decoder, cosine_recon_loss
 
 
 def patchify(image, patch_size):
@@ -244,7 +244,46 @@ def test_decoder_output_shape():
         (2, 16, 48)).astype(np.float32)
     out = dec(enc(patches, spec.visible_indices),
               spec.visible_indices, spec.masked_indices)
-    assert out.shape == (2, 65, 64)
+    assert out.shape == (2, 49, 64)    # the class row and the 48 queries
+
+
+@pytest.mark.parametrize("depth", [0, 2])
+@pytest.mark.parametrize("order", ["ascending", "fold-major", "reversed"])
+def test_decoder_matches_canonical_reference(depth, order):
+    """The decoder's rows equal the canonical-order full pass at the class
+    row and the query positions, in query order, within 1e-6; under a
+    fixed random readout, the gradients of every decoder parameter and of
+    `encoded` agree within 1e-5 of their largest magnitude."""
+    cfg = _cfg(decoder_depth=depth)
+    dec = Decoder(cfg, np.random.default_rng(22))
+    spec = gen_mask(cfg.num_patches, 0.75, np.random.default_rng(23))
+    vis, msk = spec.visible_indices, spec.masked_indices
+    folds = split_folds(spec, 3, np.random.default_rng(21))
+    query = {"ascending": msk, "fold-major": folds.reshape(-1),
+             "reversed": msk[::-1]}[order]
+    rng = np.random.default_rng(24)
+    enc = rng.standard_normal((2, vis.size + 1, 8)).astype(np.float32)
+    readout = rng.standard_normal((2, 1 + query.size, 8)).astype(np.float32)
+
+    def run(forward):
+        params = dec.params()
+        for p in params.values():
+            p.grad = None
+        encoded = Tensor(enc, requires_grad=True)
+        out = forward(encoded)
+        (out * Tensor(readout)).sum().backward()
+        return out.data, {"encoded": encoded.grad} | {
+            k: p.grad for k, p in params.items()}
+
+    out, grads = run(lambda e: dec(e, vis, query))
+    ref, ref_grads = run(lambda e: canonical_decoder(dec, e, vis, msk).take(
+        np.r_[0, query + 1], axis=1))
+    assert out.shape == (2, 1 + query.size, 8)
+    assert np.abs(out - ref).max() <= 1e-6
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        scale = np.abs(ref_grads[name]).max()
+        assert np.abs(g - ref_grads[name]).max() <= 1e-5 * scale, name
 
 
 def test_decoder_zero_mask_determinism():
@@ -271,7 +310,7 @@ def test_mask_token_receives_gradient():
               spec.visible_indices, spec.masked_indices)
     targets = np.random.default_rng(17).standard_normal(
         (1, 12, 8)).astype(np.float32)
-    masked_rows = out.take(spec.masked_indices + 1, axis=1)
+    masked_rows = out.take(np.arange(1, out.shape[1]), axis=1)
     loss = cosine_recon_loss(masked_rows, targets)
     loss.backward()
     assert dec.mask_token.grad is not None
