@@ -12,6 +12,13 @@ tape alive.
 
 The transformer primitives (`linear`, `attention`, `layernorm`, `gelu`,
 `l2_normalize`) are single tape nodes with closed-form backward.
+`gelu` is a row-blocked kernel, one code path taped or not: it walks its
+rows in blocks of at most BLOCK_BYTES into one preallocated output, so its
+backward's scratch is one block. Row statistics (in attention's softmax
+and in `layernorm`) are taken with `np.einsum`, whose row sums do not
+change with the number of rows in the call (a GEMV's against a ones column
+do). For backward gelu keeps the tanh, layernorm each row's mean and 1/std
+but not the normalized rows, and attention the probabilities.
 
 Gradient buffers are shared, not copied: `_accumulate` stores the first
 gradient a tensor receives by reference (it may be a view, or a buffer
@@ -32,6 +39,13 @@ _recording = True   # False inside no_grad()
 # tanh GELU constants
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+# gelu walks its rows in blocks of at most this many bytes of one
+# full-width row buffer. A row block of the no-tape encoder (about 1100
+# tokens, 1.1 MB of GELU) must stay one block: smaller budgets cost more
+# Python calls in its GIL-bound worker threads (at 256 KiB, frozen-feature
+# encoding ran about 9% slower).
+BLOCK_BYTES = 4 << 20
 
 
 def _unbroadcast(grad, shape):
@@ -302,11 +316,10 @@ def attention(qkv, num_heads, n_query=None):
     q, k and v are head views of the input's [B, T, 3, H, hd] reshape. Only
     the first `n_query` query rows (all T when None) attend, to every key:
     the output is [B, n, D]. The scores and their softmax are formed in
-    place on one [B, H, n, T] buffer, applied to v, and the heads merged.
-    Backward keeps only the probabilities: dv = att^T g, ds = att * (g v^T
-    - rowsum(g v^T * att)) / sqrt(hd), dq = ds k (zero past row n), dk =
-    ds^T q, written into one [3, B, H, T, hd] buffer and passed on as one
-    [B, T, 3D] copy.
+    place on one [B, H, n, T] buffer, applied to v and written, heads
+    merged, into the output. Backward keeps only the probabilities: dv =
+    att^T g, ds = att * (g v^T - rowsum(g v^T * att)) / sqrt(hd), dq = ds k
+    (zero past row n), dk = ds^T q, written into one [B, T, 3D] gradient.
     """
     b, t, d3 = qkv.shape
     n = t if n_query is None else n_query
@@ -320,7 +333,9 @@ def attention(qkv, num_heads, n_query=None):
     att *= scale
     att -= att.max(axis=-1, keepdims=True)
     np.exp(att, out=att)
-    att /= att.sum(axis=-1, keepdims=True)
+    att /= np.einsum("bhij->bhi", att)[..., None]
+    out = np.empty((b, n, num_heads, hd), np.float32)
+    np.matmul(att, vh, out=out.transpose(0, 2, 1, 3))
 
     def bwd(g):
         gh = g.reshape(b, n, num_heads, hd).transpose(0, 2, 1, 3)
@@ -328,58 +343,76 @@ def attention(qkv, num_heads, n_query=None):
         ds -= np.einsum("bhij,bhij->bhi", ds, att)[..., None]
         ds *= att
         ds *= scale
-        dqkv = np.empty((3, b, num_heads, t, hd), np.float32)
-        np.matmul(ds, kh, out=dqkv[0, :, :, :n])
-        dqkv[0, :, :, n:] = 0.0
-        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=dqkv[1])
-        np.matmul(att.transpose(0, 1, 3, 2), gh, out=dqkv[2])
-        qkv._accumulate(dqkv.transpose(1, 3, 0, 2, 4).reshape(b, t, d3))
+        dqkv = np.empty((b, t, 3, num_heads, hd), np.float32)
+        dqkv[:, n:, 0] = 0.0
+        dq, dk, dv = dqkv.transpose(2, 0, 3, 1, 4)
+        np.matmul(ds, kh, out=dq[:, :, :n])
+        np.matmul(ds.transpose(0, 1, 3, 2), qh, out=dk)
+        np.matmul(att.transpose(0, 1, 3, 2), gh, out=dv)
+        qkv._accumulate(dqkv.reshape(b, t, d3))
 
-    out = (att @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
-    return Tensor._result(out, (qkv,), "attention", bwd)
+    return Tensor._result(out.reshape(b, n, d), (qkv,), "attention", bwd)
 
 
 def gelu(x):
     """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3))).
 
-    Forward and backward run in place on one scratch buffer each; the
-    derivative is 0.5*(1 + t)*(1 + c*x*(1 + 3a*x^2)*(1 - t)), t the tanh.
+    Runs in row blocks of at most BLOCK_BYTES, in place on the output; the
+    tanh is kept for backward in one buffer, and with no tape it is formed
+    in the output itself. The derivative, block by block into one gradient
+    buffer with one block of scratch, is
+    0.5*(1 + t)*(1 + c*x*(1 + 3a*x^2)*(1 - t)), t the tanh.
     """
     a = ensure_tensor(x)
-    xd = a.data
-    t = np.multiply(xd, xd)
-    t *= _GELU_A
-    t += 1.0
-    t *= xd
-    t *= _GELU_C
-    np.tanh(t, out=t)
-    out = np.add(t, 1.0)
-    out *= xd
-    out *= 0.5
+    xd = a.data.reshape(-1, a.shape[-1])
+    rows, width = xd.shape
+    step = max(1, min(rows, BLOCK_BYTES // (4 * width)))
+    blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
+    out = np.empty_like(xd)
+    t = np.empty_like(xd) if records_tape((a,)) else out
+    for s in blocks:
+        xb, tb, ob = xd[s], t[s], out[s]
+        np.multiply(xb, xb, out=tb)
+        tb *= _GELU_A
+        tb += 1.0
+        tb *= xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=ob)
+        ob *= xb
+        ob *= 0.5
 
     def bwd(g):
-        d = np.multiply(xd, xd)
-        d *= 3.0 * _GELU_A
-        d += 1.0
-        d *= xd
-        d *= _GELU_C
-        s = np.subtract(1.0, t)
-        d *= s
-        d += 1.0
-        np.add(t, 1.0, out=s)
-        d *= s
-        d *= 0.5
-        d *= g
-        a._accumulate(d)
+        g2 = g.reshape(xd.shape)
+        dx = np.empty_like(xd)
+        buf = np.empty((step, width), np.float32)
+        for s in blocks:
+            xb, tb, d = xd[s], t[s], dx[s]
+            u = buf[:len(d)]
+            np.multiply(xb, xb, out=d)
+            d *= 3.0 * _GELU_A
+            d += 1.0
+            d *= xb
+            d *= _GELU_C
+            np.subtract(1.0, tb, out=u)
+            d *= u
+            d += 1.0
+            np.add(tb, 1.0, out=u)
+            d *= u
+            d *= 0.5
+            d *= g2[s]
+        a._accumulate(dx.reshape(a.shape))
 
-    return Tensor._result(out, (a,), "gelu", bwd)
+    return Tensor._result(out.reshape(a.shape), (a,), "gelu", bwd)
 
 
 def layernorm(x, gamma, beta, eps=1e-6):
     """Zero-mean unit-variance normalization over the last axis, then affine.
 
-    One node; backward dx = rstd * (gh - mean(gh) - xhat * mean(gh * xhat))
-    with gh = g * gamma, and gamma, beta summed over the leading axes.
+    One node. It keeps its input (alive on the tape anyway) with each row's
+    mean and 1/std, not the normalized xhat: backward rebuilds xhat in the
+    dx buffer. With gh = g * gamma, dx = rstd * (gh - mean(gh) - xhat *
+    mean(gh * xhat)), and gamma, beta are summed over the leading axes.
     """
     x = ensure_tensor(x)
     gamma = ensure_tensor(gamma)
@@ -389,30 +422,43 @@ def layernorm(x, gamma, beta, eps=1e-6):
         raise ValueError(
             f"layernorm affine params must have shape ({d},), "
             f"got gamma {gamma.shape}, beta {beta.shape}")
-    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
-    std = np.sqrt(np.einsum("...i,...i->...", xhat, xhat)[..., None]
-                  * np.float32(1.0 / d) + np.float32(eps))
-    xhat /= std
-    rstd = np.reciprocal(std, out=std)
-    out = xhat * gamma.data
+    inv_d = np.float32(1.0 / d)
+    x2 = x.data.reshape(-1, d)
+    mean = np.einsum("ij->i", x2)
+    mean *= inv_d
+    out = np.subtract(x2, mean[:, None])
+    rstd = np.einsum("ij,ij->i", out, out)
+    rstd *= inv_d
+    rstd += np.float32(eps)
+    np.sqrt(rstd, out=rstd)
+    np.reciprocal(rstd, out=rstd)
+    out *= rstd[:, None]
+    out *= gamma.data
     out += beta.data
 
     def bwd(g):
         g2 = g.reshape(-1, d)
         if beta.requires_grad:
             beta._accumulate(g2.sum(axis=0))
-        gx = g * xhat
+        dx = np.subtract(x2, mean[:, None])         # xhat, then dx
+        dx *= rstd[:, None]
         if gamma.requires_grad:
-            gamma._accumulate(gx.reshape(-1, d).sum(axis=0))
-        if x.requires_grad:
-            gx *= gamma.data                        # gh * xhat
-            gh = g * gamma.data
-            dx = np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gh)
-            dx -= xhat * gx.mean(axis=-1, keepdims=True)
-            dx *= rstd
-            x._accumulate(dx)
+            gamma._accumulate(np.einsum("ij,ij->j", g2, dx))
+        if not x.requires_grad:
+            return
+        gh = np.multiply(g2, gamma.data)
+        m1 = np.einsum("ij->i", gh)
+        m1 *= inv_d
+        m2 = np.einsum("ij,ij->i", gh, dx)
+        m2 *= inv_d
+        dx *= m2[:, None]
+        np.subtract(gh, dx, out=dx)
+        dx -= m1[:, None]
+        dx *= rstd[:, None]
+        x._accumulate(dx.reshape(x.shape))
 
-    return Tensor._result(out, (x, gamma, beta), "layernorm", bwd)
+    return Tensor._result(out.reshape(x.shape), (x, gamma, beta),
+                          "layernorm", bwd)
 
 
 def concat(tensors, axis):

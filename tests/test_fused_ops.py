@@ -5,12 +5,23 @@ matmul, add, neg, mul, sum, softmax, and the test-only div and sqrt), as
 the ops were written before they became single nodes; GELU, already one
 node, is compared with its out-of-place form. Value and every gradient
 must agree to 1e-5 relative to the reference's largest magnitude.
+
+Then: attention, layernorm and GELU against the float64 oracle; GELU
+gives the same bits in any number of row blocks, and each of the three in
+any number of rows; and a taped layernorm keeps no normalized copy of its
+input.
 """
 
-import numpy as np
+import tracemalloc
 
+import numpy as np
+import pytest
+
+from dualmim import tensor
 from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
-                            layernorm, linear, softmax)
+                            layernorm, linear, no_grad, softmax)
+from f64_oracle import _gelu as f64_gelu
+from f64_oracle import _layernorm as f64_layernorm
 from f64_oracle import attention as f64_attention
 from tape_ref import div, matmul, sqrt
 
@@ -143,6 +154,20 @@ def test_attention_n_query_none_is_all_rows_bit_for_bit():
     assert np.array_equal(val, val_t) and np.array_equal(grad, grad_t)
 
 
+def _central_diff(f, x, upstream, eps=1e-6):
+    """Gradient of sum(f(x) * upstream) in float64 by central differences."""
+    fd = np.zeros_like(x)
+    for i in np.ndindex(x.shape):
+        orig = x[i]
+        x[i] = orig + eps
+        hi = (f(x) * upstream).sum()
+        x[i] = orig - eps
+        lo = (f(x) * upstream).sum()
+        x[i] = orig
+        fd[i] = (hi - lo) / (2 * eps)
+    return fd
+
+
 def test_attention_n_query_matches_f64_oracle():
     """Value and gradient within 1e-6 of the float64 oracle's attention,
     its gradient by central differences of sum(out * upstream)."""
@@ -154,16 +179,7 @@ def test_attention_n_query_matches_f64_oracle():
     x = qkv.data.astype(np.float64)
     ref = f64_attention(x, h, n)
     assert np.abs(val - ref).max() < 1e-6
-    fd = np.zeros_like(x)
-    eps = 1e-6
-    for i in np.ndindex(x.shape):
-        orig = x[i]
-        x[i] = orig + eps
-        hi = (f64_attention(x, h, n) * upstream).sum()
-        x[i] = orig - eps
-        lo = (f64_attention(x, h, n) * upstream).sum()
-        x[i] = orig
-        fd[i] = (hi - lo) / (2 * eps)
+    fd = _central_diff(lambda z: f64_attention(z, h, n), x, upstream)
     assert np.abs(grad - fd).max() < 1e-6
     assert np.abs(fd[:, n:, :d]).max() == 0.0    # no query past row n
 
@@ -201,3 +217,95 @@ def test_gelu_matches_composed():
     rng = np.random.default_rng(12)
     x = _leaf(rng, 3, 4, 10, scale=2.0)
     _check(lambda: gelu(x), lambda: ref_gelu(x), [x], (3, 4, 10), 13)
+
+
+def test_layernorm_and_gelu_match_f64_oracle():
+    """Value and every gradient within 1e-6 of the float64 oracle's
+    layernorm and GELU, the gradients by central differences."""
+    rng = np.random.default_rng(16)
+    x, gamma, beta = _leaf(rng, 2, 3, 8), _leaf(rng, 8), _leaf(rng, 8)
+    upstream = rng.standard_normal((2, 3, 8)).astype(np.float32)
+    val, grads = _run(lambda: layernorm(x, gamma, beta), [x, gamma, beta],
+                      upstream)
+    args = [t.data.astype(np.float64) for t in (x, gamma, beta)]
+    assert np.abs(val - f64_layernorm(*args)).max() < 1e-6
+    for i, grad in enumerate(grads):
+        def f(z, i=i):
+            return f64_layernorm(*args[:i], z, *args[i + 1:])
+        assert np.abs(grad - _central_diff(f, args[i], upstream)).max() < 1e-6
+
+    x = _leaf(rng, 3, 10, scale=2.0)
+    upstream = rng.standard_normal((3, 10)).astype(np.float32)
+    val, (grad,) = _run(lambda: gelu(x), [x], upstream)
+    x64 = x.data.astype(np.float64)
+    assert np.abs(val - f64_gelu(x64)).max() < 1e-6
+    assert np.abs(grad - _central_diff(f64_gelu, x64, upstream)).max() < 1e-6
+
+
+# op, leaf shapes, output shape; the rows are axis 0 (token rows, or
+# images for attention)
+ROW_OPS = {
+    "gelu": (gelu, [(21, 16)], (21, 16)),
+    "layernorm": (layernorm, [(21, 16), (16,), (16,)], (21, 16)),
+    "attention": (lambda qkv: attention(qkv, 2), [(11, 4, 24)], (11, 4, 8)),
+    "attention_n_query": (lambda qkv: attention(qkv, 2, n_query=2),
+                          [(11, 4, 24)], (11, 2, 8)),
+}
+
+
+def _row_case(name):
+    """The op of ROW_OPS[name], with its leaves and upstream gradient."""
+    op, shapes, out_shape = ROW_OPS[name]
+    rng = np.random.default_rng(17)
+    leaves = [_leaf(rng, *shape) for shape in shapes]
+    return op, leaves, rng.standard_normal(out_shape).astype(np.float32)
+
+
+def _run_taped_and_not(op, leaves, upstream):
+    """_run of op(*leaves), after checking that under no_grad() the op
+    gives the taped value's bits."""
+    val, grads = _run(lambda: op(*leaves), leaves, upstream)
+    with no_grad():
+        assert np.array_equal(op(*leaves).data, val)
+    return val, grads
+
+
+def test_gelu_row_blocks_change_no_bit(monkeypatch):
+    """GELU run in many row blocks gives the bits of GELU run as one block:
+    its value and gradient taped, and its value under no_grad()."""
+    op, leaves, upstream = _row_case("gelu")
+    whole = _run_taped_and_not(op, leaves, upstream)
+    # 64-byte rows: six blocks of 4 rows, the last one ragged (1 row)
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 256)
+    val, (grad,) = _run_taped_and_not(op, leaves, upstream)
+    assert np.array_equal(val, whole[0])
+    assert np.array_equal(grad, whole[1][0])
+
+
+@pytest.mark.parametrize("name", sorted(ROW_OPS))
+def test_row_zero_of_two_rows_is_row_zero(name):
+    """Row 0 of a two-row call, its value and input gradient, has the bits
+    of row 0 of the full call, taped and under no_grad()."""
+    op, leaves, upstream = _row_case(name)
+    val, grads = _run_taped_and_not(op, leaves, upstream)
+    pair = [Tensor(leaves[0].data[:2], requires_grad=True)] + leaves[1:]
+    val2, grads2 = _run_taped_and_not(op, pair, upstream[:2])
+    assert np.array_equal(val2[0], val[0])
+    assert np.array_equal(grads2[0][0], grads[0][0])
+
+
+def test_layernorm_keeps_its_output_and_two_row_vectors():
+    """A taped layernorm holds, until backward, only its output and each
+    row's mean and 1/std: not a normalized copy of its input."""
+    rng = np.random.default_rng(18)
+    x, gamma, beta = _leaf(rng, 4096, 64), _leaf(rng, 64), _leaf(rng, 64)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = layernorm(x, gamma, beta)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    # 8 KiB for the node's Python objects; a normalized copy is 1 MiB
+    assert kept <= out.data.nbytes + 2 * 4096 * 4 + 8192, kept
