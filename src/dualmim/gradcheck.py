@@ -18,7 +18,7 @@ import numpy as np
 from . import losses as losses_mod
 from .optim import AdamW
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
-                     layernorm, linear, softmax)
+                     layernorm, linear, mlp, softmax)
 
 EPS = 1e-3
 REL_TOL = 1e-3
@@ -119,6 +119,12 @@ def op_suite(seed=0):
     x = randn(3, 5)
     results.append(("gelu", check_grads(
         lambda: (gelu(x) * gelu(x)).mean(), {"x": x})))
+
+    x, w1, b1 = randn(2, 3, 4), randn(4, 6), randn(6)
+    w2, b2, c = randn(6, 5), randn(5), const(2, 3, 5)
+    results.append(("mlp", check_grads(
+        lambda: (mlp(x, w1, b1, w2, b2) * c).mean(),
+        {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})))
 
     x, w = randn(2, 6), const(2, 6)
     results.append(("log", check_grads(

@@ -11,14 +11,18 @@ Inside ``no_grad()`` no op records anything, so frozen inference keeps no
 tape alive.
 
 The transformer primitives (`linear`, `attention`, `layernorm`, `gelu`,
-`l2_normalize`) are single tape nodes with closed-form backward.
-`gelu` is a row-blocked kernel, one code path taped or not: it walks its
-rows in blocks of at most BLOCK_BYTES into one preallocated output, so its
-backward's scratch is one block. Row statistics (in attention's softmax
-and in `layernorm`) are taken with `np.einsum`, whose row sums do not
-change with the number of rows in the call (a GEMV's against a ones column
-do). For backward gelu keeps the tanh, layernorm each row's mean and 1/std
-but not the normalized rows, and attention the probabilities.
+`mlp`, `l2_normalize`) are single tape nodes with closed-form backward.
+`gelu` and `mlp` (fc1, GELU, fc2) are row-blocked kernels, one code path
+taped or not: they walk their rows in blocks of at most BLOCK_BYTES of
+hidden width into one preallocated output, so their backward's scratch is
+a few blocks, and share one GELU block kernel and one derivative kernel.
+Row statistics (in attention's softmax and in `layernorm`) are taken with
+`np.einsum`, whose row sums do not change with the number of rows in the
+call (a GEMV's against a ones column do). For backward gelu keeps the
+tanh; mlp its fc1 output h and the tanh, not the GELU output, which
+backward rebuilds from the two; layernorm each row's mean and 1/std but
+not the normalized rows; and attention the probabilities. With no tape,
+mlp's hidden-width buffers are one block each.
 
 Gradient buffers are shared, not copied: `_accumulate` stores the first
 gradient a tensor receives by reference (it may be a view, or a buffer
@@ -40,12 +44,15 @@ _recording = True   # False inside no_grad()
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
-# gelu walks its rows in blocks of at most this many bytes of one
-# full-width row buffer. A row block of the no-tape encoder (about 1100
-# tokens, 1.1 MB of GELU) must stay one block: smaller budgets cost more
-# Python calls in its GIL-bound worker threads (at 256 KiB, frozen-feature
-# encoding ran about 9% slower).
-BLOCK_BYTES = 4 << 20
+# gelu and mlp walk their rows in blocks of at most this many bytes of one
+# hidden-width row buffer. A row block of the threaded no-tape encoder (up
+# to 1170 tokens, 1.2 MB of MLP hidden width) must stay one block: smaller
+# budgets cost more Python calls in its GIL-bound worker threads (at
+# 256 KiB, frozen-feature encoding ran about 9% slower). Within that,
+# smaller blocks are faster: the decoder-shaped MLP ([8320, 64] -> 256)
+# took 14.7 ms forward and 22.7 ms backward in 1.25 MiB blocks against
+# 16.3 and 23.7 ms in 4 MiB ones, and its backward scratch is smaller.
+BLOCK_BYTES = 1280 << 10
 
 
 def _unbroadcast(grad, shape):
@@ -354,56 +361,137 @@ def attention(qkv, num_heads, n_query=None):
     return Tensor._result(out.reshape(b, n, d), (qkv,), "attention", bwd)
 
 
-def gelu(x):
-    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3))).
+def _row_blocks(rows, width):
+    """Near-equal row slices, each of at most BLOCK_BYTES of `width` float32
+    columns, and of no fewer than 2 rows when `rows` is at least 2 (numpy
+    sends a one-row matmul to GEMV, which sums in another order than GEMM).
+    Returns (slices, rows of the largest)."""
+    cap = max(1, BLOCK_BYTES // (4 * width))
+    n = max(1, min(-(-rows // cap), rows // 2))
+    return ([slice(rows * i // n, rows * (i + 1) // n) for i in range(n)],
+            -(-rows // n))
 
-    Runs in row blocks of at most BLOCK_BYTES, in place on the output; the
-    tanh is kept for backward in one buffer, and with no tape it is formed
-    in the output itself. The derivative, block by block into one gradient
-    buffer with one block of scratch, is
-    0.5*(1 + t)*(1 + c*x*(1 + 3a*x^2)*(1 - t)), t the tanh.
-    """
-    a = ensure_tensor(x)
-    xd = a.data.reshape(-1, a.shape[-1])
-    rows, width = xd.shape
-    step = max(1, min(rows, BLOCK_BYTES // (4 * width)))
-    blocks = [slice(lo, lo + step) for lo in range(0, rows, step)]
-    out = np.empty_like(xd)
-    t = np.empty_like(xd) if records_tape((a,)) else out
-    for s in blocks:
-        xb, tb, ob = xd[s], t[s], out[s]
+
+def _gelu_block(xb, tb, ob, tanh=True):
+    """ob = 0.5*xb*(1 + tb), after forming tb = tanh(c*(xb + a*xb^3)) unless
+    `tanh` is False (tb holds it already). tb may be ob."""
+    if tanh:
         np.multiply(xb, xb, out=tb)
         tb *= _GELU_A
         tb += 1.0
         tb *= xb
         tb *= _GELU_C
         np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=ob)
-        ob *= xb
-        ob *= 0.5
+    np.add(tb, 1.0, out=ob)
+    ob *= xb
+    ob *= 0.5
+
+
+def _gelu_grad_block(xb, tb, gb, d, u):
+    """d = gb * GELU'(xb) = gb*0.5*(1 + t)*(1 + c*x*(1 + 3a*x^2)*(1 - t)), t
+    the tanh tb; u is one block of scratch, and may be xb (read before u is
+    written)."""
+    np.multiply(xb, xb, out=d)
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= xb
+    d *= _GELU_C
+    np.subtract(1.0, tb, out=u)
+    d *= u
+    d += 1.0
+    np.add(tb, 1.0, out=u)
+    d *= u
+    d *= 0.5
+    d *= gb
+
+
+def gelu(x):
+    """GELU, tanh approximation: 0.5*x*(1 + tanh(c*(x + a*x^3))).
+
+    Runs in row blocks (`_row_blocks`), in place on the output; the tanh
+    is kept for backward in one buffer, and with no tape it is formed in
+    the output itself. The derivative is written block by block into one
+    gradient buffer with one block of scratch.
+    """
+    a = ensure_tensor(x)
+    xd = a.data.reshape(-1, a.shape[-1])
+    blocks, size = _row_blocks(*xd.shape)
+    out = np.empty_like(xd)
+    t = np.empty_like(xd) if records_tape((a,)) else out
+    for s in blocks:
+        _gelu_block(xd[s], t[s], out[s])
 
     def bwd(g):
         g2 = g.reshape(xd.shape)
         dx = np.empty_like(xd)
-        buf = np.empty((step, width), np.float32)
+        u = np.empty((size, xd.shape[1]), np.float32)
         for s in blocks:
-            xb, tb, d = xd[s], t[s], dx[s]
-            u = buf[:len(d)]
-            np.multiply(xb, xb, out=d)
-            d *= 3.0 * _GELU_A
-            d += 1.0
-            d *= xb
-            d *= _GELU_C
-            np.subtract(1.0, tb, out=u)
-            d *= u
-            d += 1.0
-            np.add(tb, 1.0, out=u)
-            d *= u
-            d *= 0.5
-            d *= g2[s]
+            _gelu_grad_block(xd[s], t[s], g2[s], dx[s], u[:s.stop - s.start])
         a._accumulate(dx.reshape(a.shape))
 
     return Tensor._result(out.reshape(a.shape), (a,), "gelu", bwd)
+
+
+def mlp(x, w1, b1, w2, b2):
+    """The transformer MLP, gelu(x @ w1 + b1) @ w2 + b2, as one node.
+
+    Runs in row blocks over the hidden width (`_row_blocks`). Per block:
+    fc1 into h, + b1, GELU, then fc2 into the output rows, + b2, each op
+    in `linear`'s and `gelu`'s order, so the value has their bits. Taped,
+    it keeps only h and its tanh t (x is on the tape anyway); with no
+    tape, h is one block, freed before fc2, and the tanh is formed in the
+    GELU output's one block of scratch. Backward walks the same blocks: it
+    rebuilds the GELU output from h and t, adds the block's share to dw2,
+    forms da = g @ w2^T and dh = da * GELU'(h), adds the block's share to
+    dw1 and db1, and writes the dx rows. The weight gradients and db1 are
+    sums over the blocks in block order; db2 is one sum over all rows.
+    """
+    d_in, hidden = w1.shape
+    x2 = x.data.reshape(-1, d_in)
+    rows = len(x2)
+    blocks, size = _row_blocks(rows, hidden)
+    parents = (x, w1, b1, w2, b2)
+    h = t = None
+    if records_tape(parents):
+        h, t = (np.empty((rows, hidden), np.float32) for _ in range(2))
+    a = np.empty((size, hidden), np.float32)
+    out = None
+    for s in blocks:
+        ab = a[:s.stop - s.start]
+        hb = np.matmul(x2[s], w1.data, out=None if h is None else h[s])
+        hb += b1.data
+        _gelu_block(hb, ab if t is None else t[s], ab)
+        del hb      # with no tape, fc1's block is freed before fc2 runs
+        if out is None:     # not held through the first block's GELU
+            out = np.empty((rows, w2.shape[1]), np.float32)
+        np.matmul(ab, w2.data, out=out[s])
+        out[s] += b2.data
+
+    def bwd(g):
+        # h is read for the last time by the derivative, which then takes
+        # it as scratch; the rebuilt GELU output's buffer becomes dh
+        g2 = g.reshape(rows, -1)
+        dh, da = (np.empty((size, hidden), np.float32) for _ in range(2))
+        dx = np.empty_like(x2)
+        dw1, db1, dw2 = (np.zeros_like(p.data) for p in (w1, b1, w2))
+        for s in blocks:
+            n = s.stop - s.start
+            hb, tb, gb = h[s], t[s], g2[s]
+            dhb, dab = dh[:n], da[:n]
+            _gelu_block(hb, tb, dhb, tanh=False)
+            dw2 += dhb.T @ gb
+            np.matmul(gb, w2.data.T, out=dab)
+            _gelu_grad_block(hb, tb, dab, dhb, hb)
+            dw1 += x2[s].T @ dhb
+            db1 += dhb.sum(axis=0)
+            np.matmul(dhb, w1.data.T, out=dx[s])
+        for p, grad in zip(parents, (dx.reshape(x.shape), dw1, db1, dw2,
+                                     g2.sum(axis=0))):
+            if p.requires_grad:
+                p._accumulate(grad)
+
+    out = out.reshape(x.shape[:-1] + (w2.shape[1],))
+    return Tensor._result(out, parents, "mlp", bwd)
 
 
 def layernorm(x, gamma, beta, eps=1e-6):

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
-                     layernorm, linear, records_tape)
+                     layernorm, linear, mlp, records_tape)
 
 # A forward that records no tape runs in row blocks, and the blocks in
 # flight together hold at most this many tokens, so their attention and MLP
@@ -182,12 +182,16 @@ class Attention(Module):
 
 
 class Mlp(Module):
+    """fc1, GELU, fc2 as one `mlp` tape node, which keeps only the fc1
+    output and its tanh. The `Linear` children hold the parameters, so the
+    names and the checkpoint layout are theirs."""
+
     def __init__(self, rng, dim, hidden):
         self.fc1 = Linear(rng, dim, hidden)
         self.fc2 = Linear(rng, hidden, dim)
 
     def __call__(self, x):
-        return self.fc2(gelu(self.fc1(x)))
+        return mlp(x, self.fc1.w, self.fc1.b, self.fc2.w, self.fc2.b)
 
 
 class Block(Module):

@@ -388,8 +388,9 @@ def test_encode_features_same_under_one_and_two_blas_threads(tmp_path):
 
 @pytest.mark.xfail(raises=AssertionError, reason=(
     "OpenBLAS may split the K sum of a skinny GEMM by thread count: the "
-    "decoder MLP weight gradients ([32, 7056] @ [7056, 8]) differ in their "
-    "last bits between 1 and 2 threads"))
+    "decoder mlp node's weight gradients, each one 7056-row block here "
+    "([8, 7056] @ [7056, 32] for fc1, [32, 7056] @ [7056, 8] for fc2), "
+    "differ in their last bits between 1 and 2 threads"))
 def test_pretrain_same_under_one_and_two_blas_threads(tmp_path):
     """A fixed-seed pretrain writes the same checkpoint bytes and metric
     rows under 1 and 2 OpenBLAS threads. At batch 144 with 16-position

@@ -6,10 +6,10 @@ the ops were written before they became single nodes; GELU, already one
 node, is compared with its out-of-place form. Value and every gradient
 must agree to 1e-5 relative to the reference's largest magnitude.
 
-Then: attention, layernorm and GELU against the float64 oracle; GELU
-gives the same bits in any number of row blocks, and each of the three in
-any number of rows; and a taped layernorm keeps no normalized copy of its
-input.
+Then: attention, layernorm, GELU and the MLP against the float64 oracle;
+GELU and the MLP give the same value and input gradient in any number of
+row blocks, and each op in any number of rows; a taped layernorm keeps no
+normalized copy of its input, and a taped MLP only its fc1 output and tanh.
 """
 
 import tracemalloc
@@ -19,10 +19,11 @@ import pytest
 
 from dualmim import tensor
 from dualmim.tensor import (Tensor, attention, concat, gelu, l2_normalize,
-                            layernorm, linear, no_grad, softmax)
+                            layernorm, linear, mlp, no_grad, softmax)
 from f64_oracle import _gelu as f64_gelu
 from f64_oracle import _layernorm as f64_layernorm
 from f64_oracle import attention as f64_attention
+from tape_memory import tape_bytes
 from tape_ref import div, matmul, sqrt
 
 REL = 1e-5
@@ -242,10 +243,37 @@ def test_layernorm_and_gelu_match_f64_oracle():
     assert np.abs(grad - _central_diff(f64_gelu, x64, upstream)).max() < 1e-6
 
 
+def test_mlp_matches_composed_and_f64_oracle():
+    """The MLP node against linear(gelu(linear)): the same bits for the
+    value and dx. Then value and all five gradients within 1e-6 of the
+    float64 oracle's MLP, the gradients by central differences."""
+    rng = np.random.default_rng(19)
+    leaves = [_leaf(rng, *shape, scale=0.5)
+              for shape in ((2, 3, 8), (8, 12), (12,), (12, 8), (8,))]
+    x, w1, b1, w2, b2 = leaves
+    upstream = rng.standard_normal((2, 3, 8)).astype(np.float32)
+    val, grads = _run(lambda: mlp(*leaves), leaves, upstream)
+    ref_val, ref_grads = _run(lambda: linear(gelu(linear(x, w1, b1)), w2, b2),
+                              leaves, upstream)
+    assert np.array_equal(val, ref_val)
+    assert np.array_equal(grads[0], ref_grads[0])
+
+    def f64_mlp(x, w1, b1, w2, b2):
+        return f64_gelu(x @ w1 + b1) @ w2 + b2
+
+    args = [t.data.astype(np.float64) for t in leaves]
+    assert np.abs(val - f64_mlp(*args)).max() < 1e-6
+    for i, grad in enumerate(grads):
+        def f(z, i=i):
+            return f64_mlp(*args[:i], z, *args[i + 1:])
+        assert np.abs(grad - _central_diff(f, args[i], upstream)).max() < 1e-6
+
+
 # op, leaf shapes, output shape; the rows are axis 0 (token rows, or
 # images for attention)
 ROW_OPS = {
     "gelu": (gelu, [(21, 16)], (21, 16)),
+    "mlp": (mlp, [(21, 16), (16, 32), (32,), (32, 16), (16,)], (21, 16)),
     "layernorm": (layernorm, [(21, 16), (16,), (16,)], (21, 16)),
     "attention": (lambda qkv: attention(qkv, 2), [(11, 4, 24)], (11, 4, 8)),
     "attention_n_query": (lambda qkv: attention(qkv, 2, n_query=2),
@@ -275,11 +303,44 @@ def test_gelu_row_blocks_change_no_bit(monkeypatch):
     its value and gradient taped, and its value under no_grad()."""
     op, leaves, upstream = _row_case("gelu")
     whole = _run_taped_and_not(op, leaves, upstream)
-    # 64-byte rows: six blocks of 4 rows, the last one ragged (1 row)
+    # 64-byte rows: six blocks of 3 or 4 rows
     monkeypatch.setattr(tensor, "BLOCK_BYTES", 256)
     val, (grad,) = _run_taped_and_not(op, leaves, upstream)
     assert np.array_equal(val, whole[0])
     assert np.array_equal(grad, whole[1][0])
+
+
+def test_mlp_row_blocks_change_no_value_bit(monkeypatch):
+    """The MLP run in ragged row blocks gives the bits of its one-block
+    run, value and dx, taped and under no_grad(); the weight and bias
+    gradients, summed block by block, agree within 1e-6 of their largest
+    magnitude."""
+    op, leaves, upstream = _row_case("mlp")
+    whole = _run_taped_and_not(op, leaves, upstream)
+    # 128-byte hidden rows: at most 4 rows a block
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 512)
+    blocks, _ = tensor._row_blocks(21, 32)
+    assert len(blocks) >= 3
+    assert len({s.stop - s.start for s in blocks}) > 1
+    val, grads = _run_taped_and_not(op, leaves, upstream)
+    assert np.array_equal(val, whole[0])
+    assert np.array_equal(grads[0], whole[1][0])
+    for g, ref in zip(grads[1:], whole[1][1:]):
+        assert np.abs(g - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+def test_row_blocks_never_hold_one_row_of_many(monkeypatch):
+    """Near-equal blocks within the budget, but none of one row when the
+    call has two or more, even where a row is the whole budget: a one-row
+    matmul is a GEMV with other bits."""
+    for budget_rows in (1, 3):          # rows of width 1
+        monkeypatch.setattr(tensor, "BLOCK_BYTES", 4 * budget_rows)
+        for rows in range(1, 12):
+            blocks, size = tensor._row_blocks(rows, 1)
+            lens = [s.stop - s.start for s in blocks]
+            assert sum(lens) == rows and max(lens) == size
+            assert min(lens) >= min(2, rows) and size - min(lens) <= 1
+            assert budget_rows == 1 or size <= budget_rows
 
 
 @pytest.mark.parametrize("name", sorted(ROW_OPS))
@@ -309,3 +370,35 @@ def test_layernorm_keeps_its_output_and_two_row_vectors():
     assert out.requires_grad
     # 8 KiB for the node's Python objects; a normalized copy is 1 MiB
     assert kept <= out.data.nbytes + 2 * 4096 * 4 + 8192, kept
+
+
+def test_mlp_keeps_its_input_fc1_output_and_tanh():
+    """A taped MLP holds, until backward, its output, its five inputs (x by
+    reference, not a copy) and two [rows, hidden] buffers, h and its tanh:
+    not the GELU output."""
+    rng = np.random.default_rng(20)
+    leaves = [_leaf(rng, *shape)
+              for shape in ((4, 50, 16), (16, 64), (64,), (64, 16), (16,))]
+    out = mlp(*leaves)
+    assert out.requires_grad
+    assert tape_bytes(out) == (out.data.nbytes
+                               + sum(t.data.nbytes for t in leaves)
+                               + 2 * 200 * 64 * 4)
+
+
+def test_mlp_without_tape_holds_one_block_of_hidden_width(monkeypatch):
+    """Under no_grad() the MLP's hidden-width scratch is one row block per
+    buffer: a [4096, 64] -> 256 -> 64 call in 256 KiB blocks allocates at
+    most its output, two blocks and 64 KiB, never a 4 MiB [4096, 256]."""
+    monkeypatch.setattr(tensor, "BLOCK_BYTES", 256 << 10)
+    rng = np.random.default_rng(21)
+    leaves = [_leaf(rng, *shape)
+              for shape in ((4096, 64), (64, 256), (256,), (256, 64), (64,))]
+    with no_grad():
+        tracemalloc.start()
+        try:
+            out = mlp(*leaves)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peak <= out.data.nbytes + 2 * (256 << 10) + (64 << 10), peak

@@ -13,8 +13,8 @@ from dualmim import train as train_mod
 from dualmim import vit
 from dualmim.checkpoint import load_checkpoint
 from dualmim.config import TrainConfig
-from dualmim.data import (AugmentConfig, Dataset, load_cifar10, make_batch,
-                          make_synthetic_cifar, standardize)
+from dualmim.data import (AugmentConfig, Batch, Dataset, load_cifar10,
+                          make_batch, make_synthetic_cifar, standardize)
 from dualmim.errors import DataError
 from dualmim.optim import AdamW
 from dualmim.tensor import Tensor, no_grad
@@ -23,6 +23,7 @@ from dualmim.train import (KNN_BLOCK_ROWS, METRICS_HEADER, Trainer,
                            linear_probe, pretrain)
 from dualmim.vit import Encoder, patchify_batch
 
+from tape_memory import tape_bytes
 from tape_ref import fold_major_patch_loss, matmul, student_assign
 from tiny_model import composed_setup, tiny_config
 
@@ -274,6 +275,23 @@ def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
     assert report.total_tensor is None and report.total > 0
     # nothing keeps the step's graph alive once the step has returned
     assert seen[0]() is None
+
+
+def test_recon_forward_tape_at_most_145_mib():
+    """The tape of one reconstruction-only forward at the default model and
+    batch 128 holds at most 145 MiB: the MLPs keep their fc1 outputs and
+    tanh, not their GELU outputs (which added about 23 MiB)."""
+    cfg = TrainConfig()
+    cfg.loss.lambda_c = cfg.loss.lambda_p = 0.0
+    trainer = Trainer(cfg.validate(), iters_per_epoch=1)
+    imgs = np.random.default_rng(0).normal(
+        0, 1, (cfg.optim.batch_size, 32, 32, 3)).astype(np.float32)
+    batch = Batch(simple=imgs, complex=None)
+    ctx = trainer.prepare_step(batch, 0, 0)
+    report, _ = trainer.compute_loss(batch, *ctx, train=True,
+                                     dp_rng=np.random.default_rng(1))
+    assert cfg.optim.batch_size == 128
+    assert tape_bytes(report.total_tensor) <= 145 << 20
 
 
 def test_patch_targets_share_one_buffer_freed_before_backward(tiny_ds,
