@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: pretrain, linear-probe, knn-eval, export-metrics, gradcheck,
-make-data. Any TrainConfig field can be overridden with a dotted flag,
-e.g. `--loss.lambda_c 0`.
+make-data. Any other `--name value` (or `--name=value`) sets the
+TrainConfig field at that dotted path, top-level ones included, e.g.
+`--loss.lambda_c 0`, `--teacher_mode single` or `--seed 5`.
 
 Exit codes: 0 success, 2 config error, 3 data error, 4 numeric abort.
 """
@@ -26,7 +27,6 @@ def _parse(argv):
 
     def common(p):
         p.add_argument("--config", default=None, help="YAML config file")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--data-dir", default=None)
         p.add_argument("--out", default="run")
 
@@ -58,13 +58,13 @@ def _parse(argv):
     common(p)
     p.add_argument("--n", type=int, default=12000)
 
-    # dotted config overrides are collected from the unknown remainder
+    # config overrides are collected from the unknown remainder
     args, rest = parser.parse_known_args(argv)
     overrides = {}
     i = 0
     while i < len(rest):
         tok = rest[i]
-        if not (tok.startswith("--") and "." in tok):
+        if not tok.startswith("--"):
             parser.error(f"unrecognized argument: {tok}")
         if "=" in tok:
             key, val = tok[2:].split("=", 1)
@@ -76,13 +76,6 @@ def _parse(argv):
         overrides[key] = val
         i += 1
     return args, overrides
-
-
-def _config(args, overrides):
-    cfg = load_config(args.config, overrides)
-    if args.seed is not None:
-        cfg.seed = args.seed
-    return cfg
 
 
 def _split(dataset, holdout):
@@ -98,8 +91,9 @@ def _split(dataset, holdout):
 def main(argv=None):
     args, overrides = _parse(argv if argv is not None else sys.argv[1:])
     try:
+        # every command checks its overrides; pretrain and make-data use them
+        cfg = load_config(args.config, overrides)
         if args.command == "pretrain":
-            cfg = _config(args, overrides)
             if args.data_dir is None:
                 raise DataError("pretrain needs --data-dir")
             ds = load_data_dir(args.data_dir)
@@ -141,7 +135,6 @@ def main(argv=None):
                 return 1
 
         elif args.command == "make-data":
-            cfg = _config(args, overrides)
             if args.data_dir is None:
                 raise DataError("make-data needs --data-dir (output file)")
             make_synthetic_cifar(args.data_dir, args.n, cfg.seed)

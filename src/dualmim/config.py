@@ -6,6 +6,7 @@ sorted-key JSON so runs are self-describing.
 """
 
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field, fields
 
@@ -57,8 +58,7 @@ class OptimConfig:
 @dataclass
 class TrainConfig:
     model: ViTConfig = field(default_factory=ViTConfig)
-    head: ProjectionHeadConfig = field(
-        default_factory=lambda: ProjectionHeadConfig(hidden_dim=16))
+    head: ProjectionHeadConfig = field(default_factory=ProjectionHeadConfig)
     masking: MaskingConfig = field(default_factory=MaskingConfig)
     ema_rec: EmaConfig = field(default_factory=lambda: EmaConfig(
         start_momentum=0.96, end_momentum=0.99, frequency=PER_EPOCH))
@@ -78,6 +78,15 @@ class TrainConfig:
     # -- validation -------------------------------------------------------
 
     def validate(self):
+        # sizes that divide or count: checked before the model's own checks
+        for dotted in ("model.patch_size", "model.embed_dim", "model.depth",
+                       "model.num_heads", "model.mlp_ratio",
+                       "model.decoder_dim", "head.hidden_dim",
+                       "head.num_shared_layers", "log_every"):
+            if not functools.reduce(getattr, dotted.split("."), self) > 0:
+                raise ConfigError(f"{dotted} must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed {self.seed} must be >= 0")
         self.model.validate()
         n = self.model.num_patches
         validate_masking(n, self.masking.ratio, self.masking.num_folds)
@@ -173,15 +182,20 @@ def _scalar(f, val, where):
 
 
 def load_config(path=None, overrides=None):
-    """Build a validated TrainConfig from an optional YAML file plus
-    dotted-key overrides like {'loss.lambda_c': 0}."""
+    """Build a validated TrainConfig from the defaults, an optional YAML
+    file, then overrides keyed by dotted path, e.g. {'loss.lambda_c': '0',
+    'seed': '5'}; a text value is read as YAML. The file and each override
+    go through the same merge, so an unknown key fails alike in both."""
     base = TrainConfig().to_dict()
     if path is not None:
         with open(path) as fh:
-            loaded = yaml.safe_load(fh) or {}
-        _merge(base, loaded, "")
+            _merge(base, yaml.safe_load(fh) or {}, "")
     for key, val in (overrides or {}).items():
-        _apply_override(base, key, val)
+        if isinstance(val, str):
+            val = yaml.safe_load(val)
+        for part in reversed(key.split(".")):
+            val = {part: val}
+        _merge(base, val, "")
     cfg = TrainConfig.from_dict(base)
     cfg.validate()
     return cfg
@@ -197,17 +211,3 @@ def _merge(base, incoming, path):
             _merge(base[key], val, f"{path}.{key}".lstrip("."))
         else:
             base[key] = val
-
-
-def _apply_override(base, dotted, val):
-    parts = dotted.split(".")
-    node = base
-    for p in parts[:-1]:
-        if not isinstance(node, dict) or p not in node:
-            raise ConfigError(f"unknown config key: {dotted}")
-        node = node[p]
-    if not isinstance(node, dict) or parts[-1] not in node:
-        raise ConfigError(f"unknown config key: {dotted}")
-    if isinstance(val, str):
-        val = yaml.safe_load(val)
-    node[parts[-1]] = val

@@ -132,7 +132,7 @@ def op_suite(seed=0):
 
     x, w = randn(3, 4), const(7, 3)
     results.append(("take_concat_reshape", check_grads(
-        lambda: (concat([x.take(np.array([0, 2, 2]), axis=1), x * x], axis=1)
+        lambda: (concat([x.take(np.array([3, 0, 2]), axis=1), x * x], axis=1)
                  .reshape(7, 3) * w).mean(), {"x": x})))
 
     # K = 2 folds of F = 2 rows after the class row, whose gradient is zero

@@ -234,20 +234,18 @@ class Tensor:
     def take(self, indices, axis):
         """Gather rows along `axis` with an integer index array.
 
-        Backward scatters; repeated indices accumulate (`np.add.at`), while
-        unique ones, decided once here, take a plain assignment.
+        The indices must be unique (ValueError otherwise), so backward
+        scatters by plain assignment.
         """
         a = self
         idx = np.asarray(indices, dtype=np.intp)
-        unique = np.unique(idx % a.shape[axis]).size == idx.size
+        if np.unique(idx % a.shape[axis]).size != idx.size:
+            raise ValueError(f"take along axis {axis} needs unique indices")
         where = (slice(None),) * axis + (idx,)
 
         def bwd(g):
             full = np.zeros(a.shape, dtype=np.float32)
-            if unique:
-                full[where] = g
-            else:
-                np.add.at(full, where, g)
+            full[where] = g
             a._accumulate(full)
 
         return self._result(a.data.take(idx, axis=axis), (a,), "take", bwd)

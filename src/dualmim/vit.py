@@ -92,7 +92,7 @@ class ViTConfig:
 @dataclass
 class ProjectionHeadConfig:
     num_shared_layers: int = 2
-    hidden_dim: int = 2048
+    hidden_dim: int = 16
     output_dim: int = 4096
 
 

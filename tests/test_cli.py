@@ -89,6 +89,58 @@ def test_unknown_override_exit_code_2(tmp_path, data_file):
     assert rc == 2
 
 
+def test_top_level_fields_same_from_flags_and_yaml(tmp_path, data_file):
+    """Top-level fields are overrides like dotted ones: the paper's three
+    ablation switches and log_every given as flags make the same checkpoint
+    bytes and metric rows (all but the seconds column) as the same values
+    in a --config file."""
+    fields = {"teacher_mode": "single", "augmentation_mode": "simple_only",
+              "multifold_pseudo_labeling": "false", "log_every": "2"}
+    yaml_file = tmp_path / "ablation.yaml"
+    yaml_file.write_text("".join(f"{k}: {v}\n" for k, v in fields.items()))
+    runs = []
+    for name, extra in (("flags", [a for kv in fields.items() for a in
+                                   (f"--{kv[0]}", kv[1])]),
+                        ("yaml", ["--config", str(yaml_file)])):
+        out = tmp_path / name
+        assert main(["pretrain", "--data-dir", data_file, "--out", str(out),
+                     "--max-iters", "4", "--seed", "5"] + TINY + extra) == 0
+        lines = (out / "metrics.csv").read_text().splitlines()
+        runs.append(([line.rsplit(",", 1)[0] if line[0].isdigit() else line
+                      for line in lines],
+                     (out / "checkpoint.bin").read_bytes()))
+    assert runs[0] == runs[1]
+    rows = runs[0][0]
+    assert '"teacher_mode": "single"' in rows[0]
+    assert '"multifold_pseudo_labeling": false' in rows[0]
+    assert [row.split(",")[1] for row in rows[2:]] == ["2", "4"]
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "seed -1 must be >= 0"),
+    ("--log_every", "0", "log_every must be positive")])
+def test_negative_seed_and_zero_log_every_exit_code_2(tmp_path, data_file,
+                                                      capsys, flag, value,
+                                                      message):
+    """Config errors caught before the run starts, not a numpy
+    SeedSequence error or a modulo by zero after the first step."""
+    out = tmp_path / "run"
+    assert main(["pretrain", "--data-dir", data_file, "--out", str(out),
+                 "--max-iters", "1", flag, value] + TINY) == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_misspelt_flag_of_an_eval_command_exit_code_2(tmp_path, capsys):
+    """A command that reads no config still checks its overrides, so a
+    misspelt flag is refused, not ignored; raised before the checkpoint
+    is read: the checkpoint named here does not exist."""
+    assert main(["knn-eval", "--checkpoint", str(tmp_path / "missing.bin"),
+                 "--holdot", "16"]) == 2
+    assert "unknown config key at '.': holdot" in capsys.readouterr().err
+
+
 def test_data_error_exit_code_3(tmp_path):
     rc = main(["pretrain", "--data-dir", str(tmp_path / "missing"),
                "--out", str(tmp_path / "x")] + TINY)

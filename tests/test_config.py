@@ -1,11 +1,14 @@
 """Configuration loading, validation, and override tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, reject, settings, strategies as st
 
 from dualmim.config import TrainConfig, load_config
 from dualmim.errors import ConfigError
+from dualmim.vit import ProjectionHeadConfig
 
 
 def test_defaults_validate():
@@ -31,6 +34,16 @@ def test_json_roundtrip():
     assert again == cfg
 
 
+def test_default_config_json_is_pinned():
+    """The head width has one default, the dataclass's own, and the default
+    config's JSON (which checkpoints embed) keeps its bytes: the sha256 is
+    that of the JSON written while TrainConfig overrode a 2048 default."""
+    assert TrainConfig().head == ProjectionHeadConfig()
+    assert ProjectionHeadConfig().hidden_dim == 16
+    assert hashlib.sha256(TrainConfig().to_json().encode()).hexdigest() == (
+        "f0e187648a583d2ab9ce1c445892cc6a2fd5a40ab25fc352a3938a849afeb4db")
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="unknown config key"):
         TrainConfig.from_dict({"no_such_field": 1})
@@ -49,6 +62,22 @@ def test_yaml_file_and_override(tmp_path):
 def test_override_unknown_dotted_key():
     with pytest.raises(ConfigError, match="unknown config key"):
         load_config(None, {"optim.bogus": "1"})
+
+
+def test_yaml_and_overrides_share_one_merge(tmp_path):
+    """An override reads as the one-key YAML file of its dotted path: same
+    config, and the same message for an unknown key."""
+    p = tmp_path / "run.yaml"
+    p.write_text("teacher_mode: single\nseed: 7\nloss:\n  lambda_c: 0\n")
+    assert load_config(str(p)) == load_config(
+        None, {"teacher_mode": "single", "seed": "7", "loss.lambda_c": "0"})
+    p.write_text("optim:\n  bogus: 1\n")
+    messages = []
+    for args in ((str(p), None), (None, {"optim.bogus": "1"})):
+        with pytest.raises(ConfigError) as e:
+            load_config(*args)
+        messages.append(str(e.value))
+    assert messages == ["unknown config key at 'optim': bogus"] * 2
 
 
 def test_non_divisible_folds_rejected_at_config_time():
@@ -77,6 +106,21 @@ def test_model_divisibility_rejected():
         load_config(None, {"model.image_size": "30"})
     with pytest.raises(ConfigError):
         load_config(None, {"model.embed_dim": "65"})
+
+
+@pytest.mark.parametrize("key", [
+    "model.patch_size", "model.num_heads", "model.depth", "model.embed_dim",
+    "model.decoder_dim", "model.mlp_ratio", "head.hidden_dim",
+    "head.num_shared_layers"])
+def test_zero_size_rejected(key):
+    """A zero size is a config error, not a division by zero or an empty
+    block list later."""
+    with pytest.raises(ConfigError, match=f"{key} must be positive"):
+        load_config(None, {key: "0"})
+
+
+def test_decoder_depth_zero_allowed():
+    assert load_config(None, {"model.decoder_depth": "0"}).model.decoder_depth == 0
 
 
 def test_teacher_temperature_floor():

@@ -225,14 +225,15 @@ def test_elementwise_grads():
     assert check_grads(lambda: ((x * x) + 1.5).log().mean(), {'x': x}) <= 1.0
 
 
-def test_take_scatters_grads():
+def test_take_repeated_indices_raise():
+    """A repeated index, also one spelled negative, is refused in the
+    forward; unique indices gather as numpy does."""
     x = Tensor(np.arange(12, dtype=np.float32).reshape(4, 3), requires_grad=True)
-    idx = np.array([1, 1, 3])
-    out = x.take(idx, axis=0)
-    assert np.array_equal(out.data, x.data[idx])
-    out.sum().backward()
-    # duplicated index accumulates
-    assert np.array_equal(x.grad[:, 0], [0.0, 2.0, 0.0, 1.0])
+    for idx in ([1, 1, 3], [3, -1]):
+        with pytest.raises(ValueError, match="unique indices"):
+            x.take(np.array(idx), axis=0)
+    idx = np.array([3, -4])
+    assert np.array_equal(x.take(idx, axis=0).data, x.data[idx])
 
 
 def test_take_unique_indices_scatter_like_add_at():

@@ -277,21 +277,37 @@ def test_train_step_releases_its_tape(tiny_ds, monkeypatch):
     assert seen[0]() is None
 
 
+def _forward_tape_bytes(cfg):
+    """`tape_bytes` of one taped forward at `cfg`, on a batch of noise with
+    a complex view when the pseudo-label losses are on."""
+    trainer = Trainer(cfg.validate(), iters_per_epoch=1)
+    imgs = np.random.default_rng(0).normal(
+        0, 1, (2, cfg.optim.batch_size, 32, 32, 3)).astype(np.float32)
+    batch = Batch(simple=imgs[0],
+                  complex=imgs[1] if trainer.pseudo_enabled else None)
+    ctx = trainer.prepare_step(batch, 0, 0)
+    report, _ = trainer.compute_loss(batch, *ctx, train=True,
+                                     dp_rng=np.random.default_rng(1))
+    return tape_bytes(report.total_tensor)
+
+
 def test_recon_forward_tape_at_most_145_mib():
     """The tape of one reconstruction-only forward at the default model and
     batch 128 holds at most 145 MiB: the MLPs keep their fc1 outputs and
     tanh, not their GELU outputs (which added about 23 MiB)."""
     cfg = TrainConfig()
     cfg.loss.lambda_c = cfg.loss.lambda_p = 0.0
-    trainer = Trainer(cfg.validate(), iters_per_epoch=1)
-    imgs = np.random.default_rng(0).normal(
-        0, 1, (cfg.optim.batch_size, 32, 32, 3)).astype(np.float32)
-    batch = Batch(simple=imgs, complex=None)
-    ctx = trainer.prepare_step(batch, 0, 0)
-    report, _ = trainer.compute_loss(batch, *ctx, train=True,
-                                     dp_rng=np.random.default_rng(1))
     assert cfg.optim.batch_size == 128
-    assert tape_bytes(report.total_tensor) <= 145 << 20
+    assert _forward_tape_bytes(cfg) <= 145 << 20
+
+
+def test_default_forward_tape_at_most_150_mib():
+    """The tape of one forward at the default config (K_c = 4096, dual
+    teachers, a complex view) and batch 128 holds at most 150 MiB; it read
+    145.49 MiB when this bound was set."""
+    cfg = TrainConfig()
+    assert cfg.optim.batch_size == 128 and cfg.head.output_dim == 4096
+    assert _forward_tape_bytes(cfg) <= 150 << 20
 
 
 def test_patch_targets_share_one_buffer_freed_before_backward(tiny_ds,
