@@ -45,7 +45,7 @@ print(f"linear+layernorm worst gradcheck violation: {worst:.3f}  (pass <= 1)")
 
 # -- 3. why float32 needs a relative tolerance ----------------------------------
 
-# finite differences in float32 carry ~1e-4 noise themselves; the engine's
+# finite differences in float32 carry ~1e-5 noise themselves; the engine's
 # analytic gradients are exact up to rounding, so agreement is judged with a
 # relative tolerance plus an absolute floor rather than strict equality.
 z = Tensor(rng.normal(0, 1, 8).astype(np.float32), requires_grad=True)

@@ -79,10 +79,10 @@ class TrainConfig:
 
     def validate(self):
         # sizes that divide or count: checked before the model's own checks
-        for dotted in ("model.patch_size", "model.embed_dim", "model.depth",
-                       "model.num_heads", "model.mlp_ratio",
-                       "model.decoder_dim", "head.hidden_dim",
-                       "head.num_shared_layers", "log_every"):
+        for dotted in ("model.patch_size", "model.in_channels",
+                       "model.embed_dim", "model.depth", "model.num_heads",
+                       "model.mlp_ratio", "model.decoder_dim", "log_every",
+                       "head.hidden_dim", "head.num_shared_layers"):
             if not functools.reduce(getattr, dotted.split("."), self) > 0:
                 raise ConfigError(f"{dotted} must be positive")
         if self.seed < 0:

@@ -5,12 +5,19 @@ never touches the backward rules it is checking. Pass criterion per
 element: |ad - fd| <= max(abs_floor, rel_tol * max(|ad|, |fd|)).
 
 The difference quotient at float32 carries rounding noise of roughly
-eps_f32 * |intermediates| / (2 * eps), so every check loss here is a mean
-with |loss| ~ 1 and moderate intermediate magnitudes; that keeps the noise
-well below the tolerance floor. The composed model loss cannot be
-conditioned that way (its tempered softmax scales logits by 10), so the
-composed check is done against an independent float64 forward
-reimplementation in the test suite.
+eps_f32 * |intermediates| / (2 * eps), and a truncation error of order
+eps^2 times the third derivative. EPS sits near cbrt(eps_f32), where the
+two balance for unit-scale inputs; at 1e-3 the noise alone failed the
+MLP check on about a third of seeds, and the layernorm, linear, add and
+take/concat/reshape checks on a few in a hundred or a thousand. Every
+check loss here is a mean with |loss| ~ 1 and moderate intermediate
+magnitudes, which keeps both well below the tolerance floor for any
+seed; the MLP draws its inputs at scale 0.5, since at unit scale its two
+GEMMs make intermediates large enough to fail about one draw in a
+thousand. The composed model loss cannot be conditioned that way (its
+tempered softmax scales logits by 10), so the composed check is done
+against an independent float64 forward reimplementation in the test
+suite.
 """
 
 import numpy as np
@@ -20,7 +27,7 @@ from .optim import AdamW
 from .tensor import (Tensor, attention, concat, gelu, l2_normalize,
                      layernorm, linear, mlp, softmax)
 
-EPS = 1e-3
+EPS = 5e-3
 REL_TOL = 1e-3
 ABS_FLOOR = 1e-4
 
@@ -69,7 +76,8 @@ def check_grads(build_loss, tensors, eps=EPS, rel_tol=REL_TOL,
 
 
 def op_suite(seed=0):
-    """Finite-difference checks of every differentiable op on random shapes.
+    """Finite-difference checks of every op src/ puts on the tape, on
+    random shapes.
 
     Returns a list of (name, max_violation) pairs; each passes iff <= 1.
     """
@@ -120,8 +128,9 @@ def op_suite(seed=0):
     results.append(("gelu", check_grads(
         lambda: (gelu(x) * gelu(x)).mean(), {"x": x})))
 
-    x, w1, b1 = randn(2, 3, 4), randn(4, 6), randn(6)
-    w2, b2, c = randn(6, 5), randn(5), const(2, 3, 5)
+    x, w1, b1, w2, b2 = (randn(*shape, scale=0.5) for shape in
+                         ((2, 3, 4), (4, 6), (6,), (6, 5), (5,)))
+    c = const(2, 3, 5)
     results.append(("mlp", check_grads(
         lambda: (mlp(x, w1, b1, w2, b2) * c).mean(),
         {"x": x, "w1": w1, "b1": b1, "w2": w2, "b2": b2})))
@@ -129,6 +138,11 @@ def op_suite(seed=0):
     x, w = randn(2, 6), const(2, 6)
     results.append(("log", check_grads(
         lambda: ((x * x + 1.5).log() * w).mean(), {"x": x})))
+
+    # b is broadcast over the leading axis, c along the size-1 one
+    x, b, c, w = randn(3, 4), randn(4), randn(3, 1), const(3, 4)
+    results.append(("add", check_grads(
+        lambda: ((x + b + c) * w).mean(), {"x": x, "b": b, "c": c})))
 
     x, w = randn(3, 4), const(7, 3)
     results.append(("take_concat_reshape", check_grads(

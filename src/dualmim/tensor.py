@@ -201,22 +201,16 @@ class Tensor:
 
     # -- reductions ---------------------------------------------------------
 
-    def sum(self, axis=None, keepdims=False):
+    def sum(self):
         a = self
-        out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def bwd(g):
-            gg = np.asarray(g)
-            if axis is not None and not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape))
+            a._accumulate(np.broadcast_to(g, a.shape))
 
-        return self._result(out_data, (a,), "sum", bwd)
+        return self._result(a.data.sum(), (a,), "sum", bwd)
 
-    def mean(self, axis=None, keepdims=False):
-        n = self.size if axis is None else (
-            np.prod([self.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
+    def mean(self):
+        return self.sum() * (1.0 / self.size)
 
     # -- shape manipulation ---------------------------------------------------
 

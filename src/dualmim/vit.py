@@ -76,6 +76,10 @@ class ViTConfig:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by "
                 f"num_heads {self.num_heads}")
+        dim = min(self.embed_dim, self.decoder_dim if self.decoder_depth
+                  else self.embed_dim)    # decoder blocks have MLPs too
+        if int(dim * self.mlp_ratio) < 1:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio}: MLP width 0")
         if self.embed_dim % 4 != 0 or self.decoder_dim % 4 != 0:
             raise ConfigError("embed dims must be divisible by 4 for 2-D "
                               "sine-cosine positional embeddings")

@@ -1,12 +1,13 @@
 """Elementary tape nodes and reference layouts that only the tests need.
 
 The runtime builds its losses and transformer ops as single fused nodes,
-so it has no matrix product, division or square root on the tape. The
-composed references the fused ops are checked against are built from
-these nodes plus the runtime's add, neg, mul, sum, mean and softmax. The
-patch loss, which the runtime streams fold by fold, is checked against one
-fold-major target table, and the decoder, which returns only the loss rows
-in the order asked for, against its full pass in canonical patch order.
+so it has no matrix product, division, square root or sum over one axis
+on the tape (its sum and mean reduce the whole tensor). The composed
+references the fused ops are checked against are built from these nodes
+plus the runtime's add, neg, mul, sum, mean and softmax. The patch loss,
+which the runtime streams fold by fold, is checked against one fold-major
+target table, and the decoder, which returns only the loss rows in the
+order asked for, against its full pass in canonical patch order.
 """
 
 import numpy as np
@@ -53,6 +54,16 @@ def div(a, b):
     return Tensor._result(a.data / b.data, (a, b), "div", bwd)
 
 
+def sum_axis(a, axis, keepdims=False):
+    """a summed over one axis."""
+    def bwd(g):
+        a._accumulate(np.broadcast_to(
+            g if keepdims else np.expand_dims(g, axis), a.shape))
+
+    return Tensor._result(a.data.sum(axis=axis, keepdims=keepdims), (a,),
+                          "sum_axis", bwd)
+
+
 def sqrt(a):
     out = np.sqrt(a.data)
 
@@ -71,8 +82,8 @@ def cosine_recon_loss(student_rows, target_rows):
     """
     t = np.asarray(target_rows, dtype=np.float32)
     t_unit = t / (np.linalg.norm(t, axis=-1, keepdims=True) + _COS_EPS)
-    s_norm = sqrt((student_rows * student_rows).sum(axis=-1) + _COS_EPS)
-    cos = div((student_rows * Tensor(t_unit)).sum(axis=-1), s_norm)
+    s_norm = sqrt(sum_axis(student_rows * student_rows, -1) + _COS_EPS)
+    cos = div(sum_axis(student_rows * Tensor(t_unit), -1), s_norm)
     return -cos.mean() + 1.0
 
 

@@ -109,9 +109,9 @@ def test_model_divisibility_rejected():
 
 
 @pytest.mark.parametrize("key", [
-    "model.patch_size", "model.num_heads", "model.depth", "model.embed_dim",
-    "model.decoder_dim", "model.mlp_ratio", "head.hidden_dim",
-    "head.num_shared_layers"])
+    "model.patch_size", "model.in_channels", "model.num_heads", "model.depth",
+    "model.embed_dim", "model.decoder_dim", "model.mlp_ratio",
+    "head.hidden_dim", "head.num_shared_layers"])
 def test_zero_size_rejected(key):
     """A zero size is a config error, not a division by zero or an empty
     block list later."""
@@ -119,8 +119,24 @@ def test_zero_size_rejected(key):
         load_config(None, {key: "0"})
 
 
+@pytest.mark.parametrize("overrides", [
+    {"model.mlp_ratio": "0.01"},
+    {"model.decoder_dim": "8", "model.mlp_ratio": "0.1"}])
+def test_zero_mlp_width_rejected(overrides):
+    """A positive mlp_ratio whose encoder or decoder MLP width
+    int(dim * mlp_ratio) is 0 is a config error, not a crash in the first
+    step."""
+    with pytest.raises(ConfigError, match="MLP width 0"):
+        load_config(None, overrides)
+
+
 def test_decoder_depth_zero_allowed():
     assert load_config(None, {"model.decoder_depth": "0"}).model.decoder_depth == 0
+    # with no decoder blocks there is no decoder MLP whose width could be 0
+    cfg = load_config(None, {"model.decoder_depth": "0",
+                             "model.decoder_dim": "8",
+                             "model.mlp_ratio": "0.1"})
+    assert cfg.model.decoder_dim == 8
 
 
 def test_teacher_temperature_floor():

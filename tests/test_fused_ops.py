@@ -1,10 +1,10 @@
 """Each fused transformer op against the composed formula it replaced.
 
 The references below rebuild every op from elementary tape ops (reshape,
-matmul, add, neg, mul, sum, softmax, and the test-only div and sqrt), as
-the ops were written before they became single nodes; GELU, already one
-node, is compared with its out-of-place form. Value and every gradient
-must agree to 1e-5 relative to the reference's largest magnitude.
+matmul, add, neg, mul, softmax, and the test-only div, sqrt and
+sum_axis), as the ops were written before they became single nodes; GELU,
+already one node, is compared with its out-of-place form. Value and every
+gradient must agree to 1e-5 relative to the reference's largest magnitude.
 
 Then: attention, layernorm, GELU and the MLP against the float64 oracle;
 GELU and the MLP give the same value and input gradient in any number of
@@ -24,7 +24,7 @@ from f64_oracle import _gelu as f64_gelu
 from f64_oracle import _layernorm as f64_layernorm
 from f64_oracle import attention as f64_attention
 from tape_memory import tape_bytes
-from tape_ref import div, matmul, sqrt
+from tape_ref import div, matmul, sqrt, sum_axis
 
 REL = 1e-5
 
@@ -63,14 +63,15 @@ def ref_attention(qkv, num_heads, n_query=None):
 
 
 def ref_layernorm(x, gamma, beta, eps=1e-6):
-    mu = x.mean(axis=-1, keepdims=True)
+    inv_d = 1.0 / x.shape[-1]
+    mu = sum_axis(x, -1, keepdims=True) * inv_d
     xc = x + (-mu)
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = sum_axis(xc * xc, -1, keepdims=True) * inv_d
     return div(xc, sqrt(var + eps)) * gamma + beta
 
 
 def ref_l2_normalize(x, axis=-1, eps=1e-8):
-    sq = (x * x).sum(axis=axis, keepdims=True)
+    sq = sum_axis(x * x, axis, keepdims=True)
     return div(x, sqrt(sq + eps))
 
 

@@ -308,7 +308,8 @@ def _src_tape_ops():
 
 
 def test_gradcheck_suite_covers_every_tape_op(monkeypatch):
-    """gradcheck.op_suite puts every op src/ can record on the tape."""
+    """gradcheck.op_suite puts exactly the ops src/ can record on the
+    tape: every one, and no test-only one."""
     recorded = set()
     result = Tensor._result
 
@@ -320,4 +321,12 @@ def test_gradcheck_suite_covers_every_tape_op(monkeypatch):
     op_suite()
     src_ops = _src_tape_ops()
     assert {"recon", "concat", "reshape", "tempered_ce"} <= src_ops
-    assert src_ops <= recorded, sorted(src_ops - recorded)
+    assert src_ops == recorded, sorted(src_ops ^ recorded)
+
+
+def test_op_suite_passes_for_every_seed():
+    """The finite-difference checks are conditioned, not tuned to one
+    seed: seeds 0-19 all pass."""
+    for seed in range(20):
+        for name, viol in op_suite(seed):
+            assert viol <= 1.0, (seed, name, viol)
