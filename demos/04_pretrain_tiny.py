@@ -45,13 +45,14 @@ print(f"metrics: {n_rows} rows, final total loss "
       f"{summary['final_total']:.4f}, min patch entropy "
       f"{summary['min_patch_entropy']:.3f}")
 
-# at this miniature scale the linear probe is noisy; the kNN accuracy on
-# frozen class-token features is the more telling readout
-acc = linear_probe(trainer.encoder, cfg.model, train_ds, test_ds,
+# both evaluations read the same frozen class-token features; at this
+# miniature scale the linear probe is noisy, and the kNN accuracy is the
+# more telling readout
+feats_tr = encode_features(trainer.encoder, cfg.model, train_ds)
+feats_te = encode_features(trainer.encoder, cfg.model, test_ds)
+acc = linear_probe(feats_tr, train_ds.labels, feats_te, test_ds.labels,
                    probe_epochs=30, lr=0.03, batch_size=64)
 print(f"linear probe on frozen features: {acc * 100:.1f}%")
 
-feats_tr = encode_features(trainer.encoder, cfg.model, train_ds)
-feats_te = encode_features(trainer.encoder, cfg.model, test_ds)
 knn = knn_eval(feats_tr, train_ds.labels, feats_te, test_ds.labels, k=5)
 print(f"5-NN on frozen features: {knn * 100:.1f}%")

@@ -29,13 +29,12 @@ VERSION = 2
 
 
 def save_checkpoint(path, config_json, run_state, records):
-    """`records`: ordered dict/list of (name, float32 ndarray).
+    """`records`: ordered list of (name, float32 ndarray).
 
     The bytes go to a temporary file next to `path`, which is flushed,
     fsynced and then renamed over `path`, so a failed write leaves the
     previous checkpoint as it was.
     """
-    items = list(records.items()) if isinstance(records, dict) else list(records)
     cfg = config_json.encode("utf-8")
     state = json.dumps(run_state, sort_keys=True).encode("utf-8")
     tmp = f"{path}.tmp"
@@ -51,8 +50,8 @@ def save_checkpoint(path, config_json, run_state, records):
 
             put(MAGIC, struct.pack("<IQ", VERSION, len(cfg)), cfg,
                 struct.pack("<Q", len(state)), state,
-                struct.pack("<I", len(items)))
-            for name, arr in items:
+                struct.pack("<I", len(records)))
+            for name, arr in records:
                 arr = np.ascontiguousarray(arr, dtype="<f4")
                 nb = name.encode("utf-8")
                 put(struct.pack("<H", len(nb)), nb,
@@ -131,8 +130,8 @@ def load_checkpoint(path):
 
 
 def restore_into(records, named, prefix):
-    """Copy checkpoint records with `prefix` into the matching Tensors or
-    arrays of `named`.
+    """Copy checkpoint records with `prefix` into the matching arrays of
+    `named`.
 
     Every name under the prefix must exist with an identical shape.
     """
@@ -144,8 +143,7 @@ def restore_into(records, named, prefix):
         raise DataError(
             f"checkpoint/model mismatch under '{prefix}': "
             f"missing={sorted(missing)[:3]} extra={sorted(extra)[:3]}")
-    for name, t in named.items():
-        arr = t if isinstance(t, np.ndarray) else t.data
+    for name, arr in named.items():
         if got[name].shape != arr.shape:
             raise DataError(
                 f"checkpoint shape mismatch at '{prefix}{name}': "

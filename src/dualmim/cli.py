@@ -104,24 +104,24 @@ def main(argv=None):
         elif args.command in ("linear-probe", "knn-eval"):
             if args.data_dir is None:
                 raise DataError(f"{args.command} needs --data-dir")
-            if args.command == "knn-eval" and args.k < 1:
+            probe = args.command == "linear-probe"
+            if probe and args.probe_epochs < 0:
+                raise ConfigError(
+                    f"--probe-epochs {args.probe_epochs} must be >= 0")
+            if not probe and args.k < 1:
                 raise ConfigError(f"-k {args.k} must be >= 1")
             trainer = Trainer.load(args.checkpoint)
             ds = load_data_dir(args.data_dir)
             train_ds, test_ds = _split(ds, args.holdout)
-            if args.command == "linear-probe":
+            f_train, f_test = (train_mod.encode_features(
+                trainer.encoder, trainer.cfg.model, split, trainer.cfg.augment)
+                for split in (train_ds, test_ds))
+            if probe:
                 acc = train_mod.linear_probe(
-                    trainer.encoder, trainer.cfg.model, train_ds, test_ds,
-                    args.probe_epochs, seed=trainer.cfg.seed,
-                    augment_cfg=trainer.cfg.augment)
+                    f_train, train_ds.labels, f_test, test_ds.labels,
+                    args.probe_epochs, seed=trainer.cfg.seed)
                 print(f"linear probe top-1: {acc:.4f}")
             else:
-                f_train = train_mod.encode_features(
-                    trainer.encoder, trainer.cfg.model, train_ds,
-                    trainer.cfg.augment)
-                f_test = train_mod.encode_features(
-                    trainer.encoder, trainer.cfg.model, test_ds,
-                    trainer.cfg.augment)
                 acc = train_mod.knn_eval(f_train, train_ds.labels,
                                          f_test, test_ds.labels, args.k)
                 print(f"knn top-1 (k={args.k}): {acc:.4f}")
@@ -137,6 +137,8 @@ def main(argv=None):
         elif args.command == "make-data":
             if args.data_dir is None:
                 raise DataError("make-data needs --data-dir (output file)")
+            if args.n < 1:
+                raise ConfigError(f"--n {args.n} must be >= 1")
             make_synthetic_cifar(args.data_dir, args.n, cfg.seed)
             print(f"wrote {args.n} synthetic records to {args.data_dir}")
 

@@ -20,14 +20,6 @@ class EmaSchedule:
     frequency: str       # PER_ITERATION or PER_EPOCH
     total_updates: int
 
-    def __post_init__(self):
-        if not 0.0 <= self.start_momentum <= self.end_momentum <= 1.0:
-            raise ValueError(
-                f"need 0 <= start <= end <= 1, got "
-                f"({self.start_momentum}, {self.end_momentum})")
-        if self.frequency not in (PER_ITERATION, PER_EPOCH):
-            raise ValueError(f"unknown frequency '{self.frequency}'")
-
 
 def momentum_at(schedule, t):
     """Cosine ramp from start to end momentum over `total_updates` steps."""

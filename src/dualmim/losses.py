@@ -87,8 +87,7 @@ def cross_entropy(target_rows, predicted):
     """
     p = np.asarray(target_rows, dtype=np.float32)
     rows = int(np.prod(p.shape[:-1]))
-    ce = -(Tensor(p) * (predicted + LOG_EPS).log()).sum()
-    return ce * (1.0 / rows)
+    return (Tensor(p) * (predicted + LOG_EPS).log()).sum() * (-1.0 / rows)
 
 
 def tempered_cross_entropy(groups, feats, weight, temperature):

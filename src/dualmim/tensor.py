@@ -93,9 +93,6 @@ class Tensor:
     def size(self):
         return self.data.size
 
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, op={self._op}, grad={self.requires_grad})"
-
     # -- graph bookkeeping ------------------------------------------------
 
     @staticmethod
@@ -170,14 +167,6 @@ class Tensor:
                 b._accumulate(_unbroadcast(g, b.shape))
 
         return self._result(a.data + b.data, (a, b), "add", bwd)
-
-    def __neg__(self):
-        a = self
-
-        def bwd(g):
-            a._accumulate(-g)
-
-        return self._result(-a.data, (a,), "neg", bwd)
 
     def __mul__(self, other):
         other = ensure_tensor(other)
@@ -281,8 +270,8 @@ def softmax(x, axis=-1):
     return Tensor._result(out_data, (a,), "softmax", bwd)
 
 
-def linear(x, w, b=None):
-    """x [..., d_in] @ w [d_in, d_out] (+ b) as one node.
+def linear(x, w, b):
+    """x [..., d_in] @ w [d_in, d_out] + b as one node.
 
     The leading dims are flattened into one 2-D GEMM; a batched
     [B, T, d_in] @ [d_in, d_out] would otherwise build a [B, d_in, d_out]
@@ -292,8 +281,7 @@ def linear(x, w, b=None):
     d_in, d_out = w.shape
     x2 = x.data.reshape(-1, d_in)
     y = x2 @ w.data
-    if b is not None:
-        y += b.data
+    y += b.data
 
     def bwd(g):
         g2 = g.reshape(-1, d_out)
@@ -301,11 +289,10 @@ def linear(x, w, b=None):
             x._accumulate((g2 @ w.data.T).reshape(x.shape))
         if w.requires_grad:
             w._accumulate(x2.T @ g2)
-        if b is not None and b.requires_grad:
+        if b.requires_grad:
             b._accumulate(g2.sum(axis=0))
 
-    parents = (x, w) if b is None else (x, w, b)
-    return Tensor._result(y.reshape(x.shape[:-1] + (d_out,)), parents,
+    return Tensor._result(y.reshape(x.shape[:-1] + (d_out,)), (x, w, b),
                           "linear", bwd)
 
 

@@ -18,7 +18,7 @@ from . import ema as ema_mod
 from . import losses as losses_mod
 from . import pseudolabel as pl
 from .config import TEACHER_SINGLE, TrainConfig
-from .errors import DataError, NumericError
+from .errors import ConfigError, DataError, NumericError
 from .masking import gen_mask, split_folds
 from .optim import AdamW, lr_at
 from .tensor import Tensor, linear, no_grad, softmax
@@ -350,8 +350,11 @@ def check_images(dataset, model_cfg):
 def pretrain(config, dataset, out_dir, resume=None, max_iters=None):
     """Run (or resume) pretraining; writes metrics.csv and checkpoint.bin.
 
-    `max_iters` caps total iterations for smoke runs. Returns the Trainer.
+    `max_iters` (>= 1) caps total iterations for smoke runs. Returns the
+    Trainer.
     """
+    if max_iters is not None and max_iters < 1:
+        raise ConfigError(f"max_iters {max_iters} must be >= 1")
     check_images(dataset, config.model)
     os.makedirs(out_dir, exist_ok=True)
     iters_per_epoch = len(dataset) // config.optim.batch_size
@@ -439,21 +442,19 @@ def encode_features(encoder, model_cfg, dataset, augment_cfg=None,
     return feats
 
 
-def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
-                 seed=0, lr=0.01, batch_size=256, augment_cfg=None):
-    """Train a linear classifier on frozen class-token features; top-1."""
-    f_train = encode_features(encoder, model_cfg, train_ds, augment_cfg)
-    f_test = encode_features(encoder, model_cfg, test_ds, augment_cfg)
+def linear_probe(f_train, train_labels, f_test, test_labels, probe_epochs,
+                 seed=0, lr=0.01, batch_size=256):
+    """Top-1 of a linear classifier on frozen `encode_features` output."""
     rng = np.random.default_rng(seed)
     d = f_train.shape[1]
-    n_classes = int(max(train_ds.labels.max(), test_ds.labels.max())) + 1
+    n_classes = int(max(train_labels.max(), test_labels.max())) + 1
     w = Tensor(rng.normal(0, 0.01, (d, n_classes)).astype(np.float32),
                requires_grad=True)
     b = Tensor(np.zeros(n_classes, np.float32), requires_grad=True)
     opt = AdamW({"w": w, "b": b}, lr=lr, weight_decay=0.0)
-    onehot = np.eye(n_classes, dtype=np.float32)[train_ds.labels]
+    onehot = np.eye(n_classes, dtype=np.float32)[train_labels]
     for _ in range(probe_epochs):
-        order = rng.permutation(len(train_ds))
+        order = rng.permutation(len(train_labels))
         for lo in range(0, len(order), batch_size):
             idx = order[lo:lo + batch_size]
             probs = softmax(linear(Tensor(f_train[idx]), w, b))
@@ -462,7 +463,7 @@ def linear_probe(encoder, model_cfg, train_ds, test_ds, probe_epochs,
             loss.backward()
             opt.step()
     pred = (f_test @ w.data + b.data).argmax(axis=1)
-    return float((pred == test_ds.labels).mean())
+    return float((pred == test_labels).mean())
 
 
 def knn_eval(train_feats, train_labels, test_feats, test_labels, k):

@@ -157,9 +157,9 @@ class Module:
 
 
 class Linear(Module):
-    def __init__(self, rng, d_in, d_out, bias=True):
+    def __init__(self, rng, d_in, d_out):
         self.w = Tensor(trunc_normal(rng, (d_in, d_out)), requires_grad=True)
-        self.b = Tensor(np.zeros(d_out, np.float32), requires_grad=True) if bias else None
+        self.b = Tensor(np.zeros(d_out, np.float32), requires_grad=True)
 
     def __call__(self, x):
         return linear(x, self.w, self.b)
@@ -365,25 +365,26 @@ class Decoder(Module):
 
 class ProjectionHead(Module):
     """Shared MLP trunk, then separate prototype matrices for class and
-    patch tokens. The call returns the L2-normalized trunk features; the
-    scores against the prototypes are formed by their consumer (the
-    teacher's Sinkhorn, or the student's fused tempered cross-entropy,
-    which never stores them)."""
+    patch tokens (plain holders of one weight `w`, not layers). The call
+    returns the L2-normalized trunk features; the scores against the
+    prototypes are formed by their consumer (the teacher's Sinkhorn, or
+    the student's fused tempered cross-entropy, which never stores them)."""
 
     def __init__(self, cfg, rng, in_dim):
         self.cfg = cfg
         dims = [in_dim] + [cfg.hidden_dim] * cfg.num_shared_layers
         self.shared = [Linear(rng, dims[i], dims[i + 1])
                        for i in range(cfg.num_shared_layers)]
-        self.class_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
-        self.patch_out = Linear(rng, cfg.hidden_dim, cfg.output_dim, bias=False)
+        self.class_out, self.patch_out = (Module(w=Tensor(trunc_normal(
+            rng, (cfg.hidden_dim, cfg.output_dim)), requires_grad=True))
+            for _ in range(2))
         self.normalize_prototypes()
 
     def normalize_prototypes(self):
         """Scale each prototype column to unit norm, in place (at init and
         after every optimizer step): every score is then a cosine."""
-        for layer in (self.class_out, self.patch_out):
-            w = layer.w.data
+        for protos in (self.class_out, self.patch_out):
+            w = protos.w.data
             w /= np.sqrt(np.einsum("ij,ij->j", w, w))
 
     def trunk(self, x):

@@ -4,7 +4,7 @@ The runtime builds its losses and transformer ops as single fused nodes,
 so it has no matrix product, division, square root or sum over one axis
 on the tape (its sum and mean reduce the whole tensor). The composed
 references the fused ops are checked against are built from these nodes
-plus the runtime's add, neg, mul, sum, mean and softmax. The patch loss,
+plus the runtime's add, mul, sum, mean and softmax. The patch loss,
 which the runtime streams fold by fold, is checked against one fold-major
 target table, and the decoder, which returns only the loss rows in the
 order asked for, against its full pass in canonical patch order.
@@ -84,7 +84,7 @@ def cosine_recon_loss(student_rows, target_rows):
     t_unit = t / (np.linalg.norm(t, axis=-1, keepdims=True) + _COS_EPS)
     s_norm = sqrt(sum_axis(student_rows * student_rows, -1) + _COS_EPS)
     cos = div(sum_axis(student_rows * Tensor(t_unit), -1), s_norm)
-    return -cos.mean() + 1.0
+    return cos.mean() * -1.0 + 1.0
 
 
 def fold_major_patch_loss(feats, weight, match, teacher_feats,

@@ -25,7 +25,7 @@ from dualmim.masking import gen_mask, split_folds, validate_masking
 from dualmim.errors import ConfigError
 from dualmim.optim import AdamW, lr_at
 from dualmim.pseudolabel import nearest_patch_match_batch, sinkhorn_normalize
-from dualmim.train import Trainer, linear_probe, pretrain
+from dualmim.train import Trainer, encode_features, linear_probe, pretrain
 from dualmim.vit import patchify_batch
 
 from f64_oracle import OracleLoss, oracle_finite_diff
@@ -249,12 +249,15 @@ def test_criterion_7_representation_sanity(tmp_path):
     out = str(tmp_path / "run")
     trainer = pretrain(cfg, train_ds, out)
 
-    probe_epochs = 5
-    acc = linear_probe(trainer.encoder, cfg.model, train_ds, test_ds,
-                       probe_epochs, seed=cfg.seed)
+    def probe(encoder):
+        f_train, f_test = (encode_features(encoder, cfg.model, ds)
+                           for ds in (train_ds, test_ds))
+        return linear_probe(f_train, train_ds.labels, f_test, test_ds.labels,
+                            5, seed=cfg.seed)
+
+    acc = probe(trainer.encoder)
     baseline = Trainer(cfg, iters_per_epoch=1)  # random init, never stepped
-    acc0 = linear_probe(baseline.encoder, cfg.model, train_ds, test_ds,
-                        probe_epochs, seed=cfg.seed)
+    acc0 = probe(baseline.encoder)
     dt = time.time() - t0
     ok = acc >= acc0 + 0.05 and acc > 0.20 and dt < 2400
     _verdict(7, ok, f"pretrained probe {acc * 100:.1f}%, random-init probe "

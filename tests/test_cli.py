@@ -350,6 +350,40 @@ def test_knn_k_below_one_exit_code_2(tmp_path, data_file, k, capsys):
     assert f"-k {k} must be >= 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("iters", ["0", "-3"])
+def test_pretrain_max_iters_below_one_exit_code_2(tmp_path, data_file, iters,
+                                                 capsys):
+    """--max-iters below 1 is a config error: no step runs and the output
+    directory is not made."""
+    out = tmp_path / "run"
+    assert main(["pretrain", "--data-dir", data_file, "--out", str(out),
+                 "--max-iters", iters] + TINY) == 2
+    assert f"max_iters {iters} must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n", ["0", "-5"])
+def test_make_data_n_below_one_exit_code_2(tmp_path, n, capsys):
+    """--n below 1 is a config error, and no file is written."""
+    path = tmp_path / "train.bin"
+    assert main(["make-data", "--data-dir", str(path), "--n", n]) == 2
+    assert f"--n {n} must be >= 1" in capsys.readouterr().err
+    assert not path.exists()
+
+
+def test_probe_epochs_below_zero_exit_code_2(tmp_path, data_file,
+                                             pristine_checkpoint, capsys):
+    """--probe-epochs below 0 is a config error, raised before the
+    checkpoint is read (the one named does not exist); 0 epochs is an
+    untrained probe, and allowed."""
+    assert main(["linear-probe", "--data-dir", data_file, "--checkpoint",
+                 str(tmp_path / "missing.bin"), "--probe-epochs", "-1"]) == 2
+    assert "--probe-epochs -1 must be >= 0" in capsys.readouterr().err
+    assert main(["linear-probe", "--data-dir", data_file, "--checkpoint",
+                 pristine_checkpoint, "--probe-epochs", "0",
+                 "--holdout", "16"]) == 0
+
+
 def test_gradcheck_command(capsys):
     """`dualmim gradcheck` runs the finite-difference suite and passes."""
     assert main(["gradcheck"]) == 0

@@ -1,7 +1,7 @@
 """Each fused transformer op against the composed formula it replaced.
 
 The references below rebuild every op from elementary tape ops (reshape,
-matmul, add, neg, mul, softmax, and the test-only div, sqrt and
+matmul, add, mul, softmax, and the test-only div, sqrt and
 sum_axis), as the ops were written before they became single nodes; GELU,
 already one node, is compared with its out-of-place form. Value and every
 gradient must agree to 1e-5 relative to the reference's largest magnitude.
@@ -65,7 +65,7 @@ def ref_attention(qkv, num_heads, n_query=None):
 def ref_layernorm(x, gamma, beta, eps=1e-6):
     inv_d = 1.0 / x.shape[-1]
     mu = sum_axis(x, -1, keepdims=True) * inv_d
-    xc = x + (-mu)
+    xc = x + mu * -1.0
     var = sum_axis(xc * xc, -1, keepdims=True) * inv_d
     return div(xc, sqrt(var + eps)) * gamma + beta
 
@@ -127,12 +127,12 @@ def test_linear_matches_composed():
                [x, w, b], shape[:-1] + (9,), 1)
 
 
-def test_linear_without_bias_and_frozen_weight():
+def test_linear_frozen_weight():
     rng = np.random.default_rng(2)
-    x = _leaf(rng, 3, 4, 6)
+    x, b = _leaf(rng, 3, 4, 6), _leaf(rng, 5)
     w = Tensor(rng.standard_normal((6, 5)).astype(np.float32))
-    _check(lambda: linear(x, w), lambda: matmul(x.reshape((-1, 6)), w).reshape(
-        (3, 4, 5)), [x], (3, 4, 5), 3)
+    _check(lambda: linear(x, w, b), lambda: ref_linear(x, w, b), [x, b],
+           (3, 4, 5), 3)
     assert w.grad is None
 
 

@@ -407,12 +407,11 @@ def test_eval_derives_class_count_from_labels(tiny_ds):
     cfg = _tiny_cfg()
     enc = Encoder(cfg.model, np.random.default_rng(7))
     # a 12-class dataset: labels 10 and 11 lie beyond CIFAR-10's 0..9
-    ds = Dataset(labels=(np.arange(len(tiny_ds)) % 12).astype(np.uint8),
-                 images=tiny_ds.images)
-    assert 0.0 <= linear_probe(enc, cfg.model, ds, ds, probe_epochs=1) <= 1.0
-    ds = Dataset(labels=np.full(len(tiny_ds), 11, np.uint8),
-                 images=tiny_ds.images)
-    assert linear_probe(enc, cfg.model, ds, ds, probe_epochs=3) == 1.0
+    f = encode_features(enc, cfg.model, tiny_ds)
+    labels = (np.arange(len(tiny_ds)) % 12).astype(np.uint8)
+    assert 0.0 <= linear_probe(f, labels, f, labels, probe_epochs=1) <= 1.0
+    labels = np.full(len(tiny_ds), 11, np.uint8)
+    assert linear_probe(f, labels, f, labels, probe_epochs=3) == 1.0
     rng = np.random.default_rng(8)
     labels = np.arange(48) % 12
     feats = rng.standard_normal((48, 16)).astype(np.float32)
@@ -427,17 +426,17 @@ def test_random_probe_near_chance(tiny_ds):
     rng = np.random.default_rng(1)
     labels = rng.integers(0, 10, 200).astype(np.uint8)
     images = rng.integers(0, 256, (200, 32, 32, 3)).astype(np.uint8)
-    ds = Dataset(labels=labels, images=images)
-    acc = linear_probe(enc, cfg.model, ds, ds, probe_epochs=0)
+    f = encode_features(enc, cfg.model, Dataset(labels=labels, images=images))
+    acc = linear_probe(f, labels, f, labels, probe_epochs=0)
     assert abs(acc - 0.10) <= 0.06  # random features, random labels
 
 
 def test_probe_constant_labels_perfect(tiny_ds):
     cfg = _tiny_cfg()
     enc = Encoder(cfg.model, np.random.default_rng(2))
-    ds = Dataset(labels=np.full(len(tiny_ds), 4, np.uint8),
-                 images=tiny_ds.images)
-    acc = linear_probe(enc, cfg.model, ds, ds, probe_epochs=3)
+    f = encode_features(enc, cfg.model, tiny_ds)
+    labels = np.full(len(tiny_ds), 4, np.uint8)
+    acc = linear_probe(f, labels, f, labels, probe_epochs=3)
     assert acc == 1.0
 
 
@@ -455,12 +454,11 @@ def test_probe_matches_composed_reference_bit_for_bit(tiny_ds, monkeypatch):
             opts.append(self)
 
     monkeypatch.setattr(train_mod, "AdamW", Spy)
-    acc = linear_probe(enc, cfg.model, tiny_ds, tiny_ds, probe_epochs=2,
-                       batch_size=16)
+    f, labels = encode_features(enc, cfg.model, tiny_ds), tiny_ds.labels
+    acc = linear_probe(f, labels, f, labels, probe_epochs=2, batch_size=16)
     monkeypatch.setattr(train_mod, "linear", lambda x, w, b: matmul(x, w) + b)
     monkeypatch.setattr(train_mod, "softmax", lambda z: student_assign(z, 1.0))
-    ref = linear_probe(enc, cfg.model, tiny_ds, tiny_ds, probe_epochs=2,
-                       batch_size=16)
+    ref = linear_probe(f, labels, f, labels, probe_epochs=2, batch_size=16)
     fused, composed = opts
     assert fused.step_count == composed.step_count == 8
     for name in ("w", "b"):
