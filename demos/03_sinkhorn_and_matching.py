@@ -10,8 +10,8 @@ nearest teacher patch across the folds.
 
 import numpy as np
 
-from dualmim.pseudolabel import (mean_row_entropy, nearest_patch_match_batch,
-                                 sinkhorn_normalize)
+from dualmim.pseudolabel import (assignments, mean_row_entropy,
+                                 nearest_patch_match_batch, sinkhorn_normalize)
 from dualmim.tensor import softmax
 
 rng = np.random.default_rng(0)
@@ -23,10 +23,12 @@ scores = rng.uniform(-1, 1, (8, 4)).astype(np.float32)
 scores[:, 0] += 3.0
 
 # Sinkhorn takes features and prototypes and forms the scores itself;
-# identity prototypes make the features the scores
+# identity prototypes make the features the scores. It returns the factors
+# of the balanced table Q = diag(u) E diag(v); `assignments` forms Q
 eye = np.eye(4, dtype=np.float32)
 plain = softmax(scores / 0.1).data
-balanced, _ = sinkhorn_normalize(scores, eye, n_iters=3, temperature=0.1)
+e, u, v, _ = sinkhorn_normalize(scores, eye, n_iters=3, temperature=0.1)
+balanced = assignments(e, u, v)
 print("column mass, plain softmax :",
       np.array2string(plain.sum(axis=0), precision=2))
 print("column mass, after Sinkhorn:",
@@ -39,7 +41,8 @@ print(f"rows still sum to one      : "
 # the entropy comes out of the Sinkhorn pass itself, read off
 # log Q = logits + log u + log v; mean_row_entropy recomputes it from Q
 for temp in (1.0, 0.1, 0.05):
-    q, entropy = sinkhorn_normalize(scores, eye, 3, temp)
+    e, u, v, entropy = sinkhorn_normalize(scores, eye, 3, temp)
+    q = assignments(e, u, v)
     print(f"teacher temperature {temp:>4}: mean target entropy "
           f"{entropy:.3f} (from Q: {mean_row_entropy(q):.3f}, "
           f"max {np.log(4):.3f})")

@@ -104,10 +104,9 @@ class TrainConfig:
         for lam in (self.loss.lambda_m, self.loss.lambda_c, self.loss.lambda_p):
             if lam < 0:
                 raise ConfigError("loss weights must be nonnegative")
-        if self.sinkhorn.teacher_temperature < TEMPERATURE_FLOOR:
-            raise ConfigError(f"teacher_temperature must be >= {TEMPERATURE_FLOOR}")
-        if self.sinkhorn.student_temperature <= 0:
-            raise ConfigError("student_temperature must be positive")
+        for name in ("teacher_temperature", "student_temperature"):
+            if getattr(self.sinkhorn, name) < TEMPERATURE_FLOOR:
+                raise ConfigError(f"{name} must be >= {TEMPERATURE_FLOOR}")
         if self.sinkhorn.n_iters < 1:
             raise ConfigError("sinkhorn n_iters must be >= 1")
         if self.optim.total_epochs < 1 or self.optim.batch_size < 1:

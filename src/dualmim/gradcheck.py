@@ -162,15 +162,17 @@ def op_suite(seed=0):
         lambda: losses_mod.cross_entropy(p, softmax(s)) * 0.25,
         {"s": s})))
 
-    # two streamed chunks, the second one partial
+    # two streamed chunks, the second one partial; targets as the factors
+    # of Q = diag(u) E diag(v), rows summing to 1
     rows = losses_mod.CE_CHUNK_ROWS + 3
     x, w = randn(rows, 3, scale=0.5), randn(3, 5, scale=0.5)
-    table = np.abs(rng.normal(0, 1, (7, 5))).astype(np.float32)
-    table /= table.sum(axis=1, keepdims=True)
+    e = np.abs(rng.normal(0, 1, (7, 5))).astype(np.float32)
+    v = rng.uniform(0.5, 2.0, 5).astype(np.float32)
+    u = (1.0 / (e @ v)).astype(np.float32)
     target_rows = rng.integers(0, 7, rows)
     results.append(("tempered_cross_entropy", check_grads(
         lambda: losses_mod.tempered_cross_entropy(
-            [(table, target_rows, np.arange(rows))], x, w, 0.25) * 0.25,
+            [(e, u, v, target_rows, np.arange(rows))], x, w, 0.25) * 0.25,
         {"feats": x, "weight": w})))
 
     return results

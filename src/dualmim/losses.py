@@ -91,56 +91,39 @@ def cross_entropy(target_rows, predicted):
 
 
 def tempered_cross_entropy(groups, feats, weight, temperature):
-    """cross_entropy(p, softmax(feats @ weight / T)) as one fused op.
+    """cross_entropy(Q, softmax(feats @ weight / T)) as one fused op, for
+    target rows of Q that each sum to 1.
 
-    `groups`: (table, table_rows, feat_rows) triples, each a [N, K_c]
-    table of target distributions (constants) and the table row of each
-    of its feature rows; every row of `feats` sits in one group. Groups
-    are read in turn, so a generator keeps one table alive at a time;
-    `feats`: [R, hidden] Tensor (L2-normalized trunk features);
+    `groups`: (E, u, v, table_rows, feat_rows) tuples, each the factors of
+    a [N, K_c] table of target rows Q = diag(u) E diag(v) (constants; u
+    and v broadcast, so a plain table comes with u = v = [1]) and the
+    table row of each of its feature rows; every row of `feats` sits in
+    one group. Groups are read in turn, so a generator keeps one E alive
+    at a time; `feats`: [R, hidden] Tensor (L2-normalized trunk features);
     `weight`: [hidden, K_c] Tensor (the prototype matrix).
 
-    The scores are [R, K_c] with K_c in the thousands, so they are never
-    stored: each group's rows stream in chunks of CE_CHUNK_ROWS (chunk
-    scores, row max, exp, row sum), and each row adds psum*log(denom) -
-    p.z, with z the max-shifted logits, so log q is never formed either.
-    While a chunk is hot, its closed-form score gradient (q*psum - p) /
-    (T*R) is pushed through the GEMM to its feature rows and the weight;
-    backward only scales those by the upstream gradient. Matches the
-    composed form up to its LOG_EPS guard (exact log-softmax needs none).
+    A row's loss is lse(z) - p.z, z = f W / T, so Q enters only through
+    two GEMMs over E per group: p.z = f . (Q W^T / T)[m], with Q W^T = u *
+    (E (v W)^T), and the weight gradient's target term A^T Q = ((u A)^T E)
+    * v, A the scatter-sum of the group's feature rows onto their table
+    rows. The [R, K_c] logits are never stored: the lse half streams the
+    rows in contiguous chunks of CE_CHUNK_ROWS and pushes the softmax
+    gradient through the chunk's GEMMs while it is hot, 1/denom folded
+    in. The logits are not max-shifted: unit features and prototype
+    columns at T >= TEMPERATURE_FLOOR keep them within [-40, 40], and a
+    row sum of exp that is not finite and positive raises ValueError.
+    Backward only scales the gradients. Matches the composed form up to
+    its LOG_EPS guard (exact log-softmax needs none).
     """
     x = feats if isinstance(feats, Tensor) else Tensor(feats)
     w = weight if isinstance(weight, Tensor) else Tensor(weight)
-    n, kc = x.shape[0], w.shape[1]
+    n = x.shape[0]
     inv_t = np.float32(1.0 / temperature)
     w_t = w.data * inv_t    # logits = feats @ (weight / T)
     grad_x = np.zeros_like(x.data) if x.requires_grad else None
     grad_w = np.zeros_like(w.data) if w.requires_grad else None
-    z_buf = np.empty((min(n, CE_CHUNK_ROWS), kc), np.float32)
-    total, seen = 0.0, 0
-    for table, table_rows, feat_rows in groups:
-        table = np.asarray(table, dtype=np.float32)
-        seen += len(feat_rows)
-        for lo in range(0, len(feat_rows), CE_CHUNK_ROWS):
-            at = feat_rows[lo:lo + CE_CHUNK_ROWS]
-            xc = x.data[at]
-            z = np.matmul(xc, w_t, out=z_buf[:len(at)])
-            z -= z.max(axis=1, keepdims=True)
-            p = table[table_rows[lo:lo + CE_CHUNK_ROWS]]
-            # float32 row sums (pairwise), float64 from there on
-            psum = p.sum(axis=1).astype(np.float64)
-            pz = np.einsum("ij,ij->i", p, z)
-            e = np.exp(z, out=z)
-            denom = e.sum(axis=1).astype(np.float64)
-            total += float(psum @ np.log(denom) - pz.sum(dtype=np.float64))
-            if grad_x is None and grad_w is None:
-                continue
-            e *= (psum / denom).astype(np.float32)[:, None]
-            e -= p    # (q*psum - p), the logit gradient times R
-            if grad_x is not None:
-                grad_x[at] = e @ w_t.T
-            if grad_w is not None:
-                grad_w += xc.T @ e
+    total = _lse_rows(x.data, w_t, grad_x, grad_w)
+    pz, seen = _target_rows(groups, x.data, w_t, grad_x, grad_w)
     if seen != n:
         raise ValueError(f"tempered_cross_entropy: groups hold {seen} "
                          f"rows of {n}")
@@ -156,7 +139,53 @@ def tempered_cross_entropy(groups, feats, weight, temperature):
         if w.requires_grad:
             w._accumulate(grad_w * g)
 
-    return Tensor._result(np.float32(total / n), (x, w), "tempered_ce", bwd)
+    return Tensor._result(np.float32((total - pz) / n), (x, w),
+                          "tempered_ce", bwd)
+
+
+def _lse_rows(x, w_t, grad_x, grad_w):
+    """The sum of lse(z) over the logit rows z = x W_t, in contiguous
+    chunks; adds the softmax half of the logit gradient, softmax(z) W_t^T
+    to `grad_x` and x^T softmax(z) to `grad_w` (either may be None)."""
+    n = x.shape[0]
+    z_buf = np.empty((min(n, CE_CHUNK_ROWS), w_t.shape[1]), np.float32)
+    total = 0.0
+    for lo in range(0, n, CE_CHUNK_ROWS):
+        xc = x[lo:lo + CE_CHUNK_ROWS]
+        e = np.matmul(xc, w_t, out=z_buf[:len(xc)])
+        with np.errstate(over="ignore"):
+            np.exp(e, out=e)
+        # float32 row sums (pairwise), float64 from there on
+        denom = e.sum(axis=1).astype(np.float64)
+        if not (np.isfinite(denom).all() and denom.min() > 0.0):
+            raise ValueError("tempered_cross_entropy: a row's sum of exp "
+                             "is not finite and positive")
+        total += float(np.log(denom).sum())
+        r = (1.0 / denom).astype(np.float32)[:, None]
+        if grad_x is not None:
+            grad_x[lo:lo + len(xc)] += (e @ w_t.T) * r
+        if grad_w is not None:
+            grad_w += (xc * r).T @ e
+    return total
+
+
+def _target_rows(groups, x, w_t, grad_x, grad_w):
+    """(the sum of p.z over the feature rows, the rows seen), group by
+    group, with p.z = f . (Q W_t^T)[m]; subtracts the target half of the
+    logit gradient, (Q W_t^T)[m] from `grad_x` and A^T Q from `grad_w`."""
+    pz, seen = 0.0, 0
+    for e, u, v, table_rows, feat_rows in groups:
+        seen += len(feat_rows)
+        xg = x[feat_rows]
+        tg = ((e @ (w_t * v).T) * u[:, None])[table_rows]
+        pz += float(np.einsum("ij,ij->i", xg, tg).sum(dtype=np.float64))
+        if grad_x is not None:
+            grad_x[feat_rows] -= tg
+        if grad_w is not None:
+            a = np.zeros((len(e), x.shape[1]), np.float32)
+            np.add.at(a, table_rows, xg)    # sequential: fixed bits
+            grad_w -= ((a * u[:, None]).T @ e) * v
+    return pz, seen
 
 
 def total_loss(weights, loss_m=None, loss_c=None, loss_p=None,

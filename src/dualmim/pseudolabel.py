@@ -13,59 +13,72 @@ import numpy as np
 # Scores of unit features against prototype columns of norm at most 1 lie
 # in [-1, 1]: at T >= TEMPERATURE_FLOOR they span at most 80 temperatures.
 # Sinkhorn rejects a span over SPREAD_T; exp(-84) is still a normal float32.
+# The floor holds for both temperatures, so the student's cross entropy
+# takes exp of its logits, within [-40, 40], unshifted.
 TEMPERATURE_FLOOR = 0.025
 SPREAD_T = 84.0
 
 
 def sinkhorn_normalize(feats, weight, n_iters, temperature, out=None):
-    """Balanced assignment rows for the scores `feats @ weight`, and their
-    mean entropy.
+    """Balanced assignment rows for the scores `feats @ weight`, as the
+    factors of Q = diag(u) E diag(v), and their mean entropy.
 
     Q = exp(scores / temperature); then alternate column normalization
     (each column sums to B/K_c) and row normalization (each row sums to 1)
     for `n_iters` rounds, ending on the row step. The rounds only update
-    the scaling vectors u (rows) and v (columns) of Q = diag(u) E diag(v),
-    with E = exp((s - top) / T) formed once in float32 against the global
-    max `top`, and u, v kept in float64. The scores are formed straight
-    into `out` (allocated if not given), which becomes E and then Q; they
-    are never kept. The mean row entropy is read off log Q = (s - top) / T
-    + log u + log v: with unit rows, H_i = -(sum_j q_ij (s_ij - top) / T +
-    log u_i + sum_j q_ij log v_j), where sum_j q_ij s_ij = f_i . (q_i W^T)
-    needs no scores.
+    the scaling vectors u (rows) and v (columns), with E = exp(s / T - top)
+    formed once in float32 against the global max `top` of s / T, and u, v
+    kept in float64. The tempered scores are formed straight into `out`
+    (allocated if not given), which becomes E; Q itself is never formed
+    (`assignments` forms it where a table is wanted). The mean row entropy
+    is read off log Q = s / T - top + log u + log v: with unit rows, H_i =
+    -(sum_j q_ij (s_ij / T - top) + log u_i + sum_j q_ij log v_j), where
+    sum_j q_ij s_ij / T = u_i f_i . (E (v W / T)^T)_i and sum_j q_ij log v_j
+    = u_i (E (v log v))_i are two products over E.
 
-    Returns (Q [B, K_c] float32, mean row entropy in nats). Non-finite
-    inputs, scores that overflow float32, a row or column whose max sits
-    more than SPREAD_T temperatures below the top score, or a scaling
-    vector past float32's range raise ValueError.
+    Returns (E [B, K_c] float32, u [B] float32, v [K_c] float32, mean row
+    entropy in nats). Non-finite inputs, scores that overflow float32, a
+    row or column whose max sits more than SPREAD_T temperatures below the
+    top score, or a scaling vector past float32's range raise ValueError.
     """
     f = np.asarray(feats, dtype=np.float32)
     w = np.asarray(weight, dtype=np.float32)
     if not (np.isfinite(f).all() and np.isfinite(w).all()):
         raise ValueError("sinkhorn_normalize requires finite inputs")
     with np.errstate(over="ignore", invalid="ignore"):
-        q = np.matmul(f, w, out=out)   # an overflow fails the check below
-    b, kc = q.shape
-    row_max = q.max(axis=1)
+        w_t = w * np.float32(1.0 / temperature)
+        e = np.matmul(f, w_t, out=out)   # an overflow fails the check below
+    b, kc = e.shape
+    row_max = e.max(axis=1)
     if not np.isfinite(row_max).all():
         raise ValueError("sinkhorn_normalize requires finite scores")
     top = row_max.max()
-    if min(row_max.min(), q.max(axis=0).min()) < top - SPREAD_T * temperature:
+    if min(row_max.min(), e.max(axis=0).min()) < top - SPREAD_T:
         raise ValueError(f"sinkhorn_normalize: scores span more than "
                          f"{SPREAD_T:g} temperatures")
-    q -= top
-    q *= np.float32(1.0 / temperature)
-    np.exp(q, out=q)    # E
+    e -= top
+    np.exp(e, out=e)
     u = np.ones(b)
     for _ in range(n_iters):
         # float32 GEMVs over E (no float64 copy), float64 scaling vectors
-        v = _float32_range((b / kc) / (u.astype(np.float32) @ q).astype(np.float64))
-        u = _float32_range(1.0 / (q @ v.astype(np.float32)).astype(np.float64))
-    q *= v.astype(np.float32)
-    q *= u.astype(np.float32)[:, None]    # Q = diag(u) E diag(v)
-    # sum_j q_ij (s_ij - top) / T, with s_i = f_i W
-    lin = (np.einsum("ij,ij->i", q @ w.T, f) - top) / temperature
-    ent = -(lin + np.log(u) + q @ np.log(v).astype(np.float32))
-    return q, float(ent.mean())
+        v = _float32_range((b / kc) / (u.astype(np.float32) @ e).astype(np.float64))
+        u = _float32_range(1.0 / (e @ v.astype(np.float32)).astype(np.float64))
+    # the products over E take v over its max c, so that neither v W / T
+    # nor v log v can overflow float32, and u c in float64
+    c = v.max()
+    vn, uc = (v / c).astype(np.float32), u * c
+    # sum_j q_ij (s_ij / T - top), with s_i = f_i W
+    lin = np.einsum("ij,ij->i", e @ (w_t * vn).T, f) * uc - top
+    qlogv = uc * (e @ (vn * np.log(v).astype(np.float32)))
+    ent = -(lin + np.log(u) + qlogv)
+    return e, u.astype(np.float32), v.astype(np.float32), float(ent.mean())
+
+
+def assignments(e, u, v):
+    """Q = diag(u) E diag(v), formed in place in E; returns it."""
+    e *= v
+    e *= u[:, None]
+    return e
 
 
 def _float32_range(x):
@@ -78,8 +91,9 @@ def _float32_range(x):
 def teacher_targets(feats, weight, n_iters, temperature, out=None):
     """Sinkhorn targets of one fold's [B, hidden] class or [B, F, hidden]
     patch head features against the [hidden, K_c] prototypes `weight`:
-    (Q [B or B*F, K_c], mean row entropy), balanced jointly across batch
-    and position, into `out` if given."""
+    (E [B or B*F, K_c], u, v, mean row entropy) with Q = diag(u) E
+    diag(v), balanced jointly across batch and position, E into `out` if
+    given."""
     return sinkhorn_normalize(feats.reshape(-1, feats.shape[-1]), weight,
                               n_iters, temperature, out=out)
 

@@ -162,9 +162,10 @@ class Trainer:
                     patch_feat, self.head.patch_out.w, match, patch_feats,
                     patch_weight, cfg.sinkhorn)
             if w.lambda_c > 0:
-                rows = np.arange(class_target.shape[0])
+                rows = np.arange(len(class_target))
+                one = np.ones(1, np.float32)    # the table itself: u = v = 1
                 loss_c = losses_mod.tempered_cross_entropy(
-                    [(class_target, rows, rows)], cls_feat,
+                    [(class_target, one, one, rows, rows)], cls_feat,
                     self.head.class_out.w, cfg.sinkhorn.student_temperature)
                 class_entropy = pl.mean_row_entropy(class_target)
 
@@ -201,8 +202,8 @@ class Trainer:
         # the fold mean of the class targets; `patch_loss` makes the patch
         # targets fold by fold
         sk = cfg.sinkhorn
-        class_target = np.mean([pl.teacher_targets(
-            c, head.class_out.w.data, sk.n_iters, sk.teacher_temperature)[0]
+        class_target = np.mean([pl.assignments(*pl.teacher_targets(
+            c, head.class_out.w.data, sk.n_iters, sk.teacher_temperature)[:3])
             for c in cls_feats], axis=0)
         return (mask, folds, rec_tokens, teacher_feats, class_target,
                 patch_feats, head.patch_out.w.data)
@@ -308,21 +309,23 @@ def patch_loss(feats, weight, match, teacher_feats, teacher_weight, sk):
 
     Fold k's Sinkhorn targets, from the teacher head's [K, B, F, hidden]
     `teacher_feats` and its prototypes, are made when the cross entropy
-    reaches the student rows `match` puts in fold k, into one [B*F, K_c]
-    buffer that every fold reuses.
+    reaches the student rows `match` puts in fold k, as the factors (E, u,
+    v) of Q with E in one [B*F, K_c] buffer that every fold reuses and
+    that is freed once the last fold is read.
     """
     b, m = match[0].shape
     f = teacher_feats.shape[2]
-    table = np.empty((b * f, teacher_weight.shape[1]), np.float32)
     entropies = []
 
     def groups():
+        table = np.empty((b * f, teacher_weight.shape[1]), np.float32)
         for i, fold in enumerate(teacher_feats):
-            _, ent = pl.teacher_targets(fold, teacher_weight, sk.n_iters,
-                                        sk.teacher_temperature, out=table)
+            e, u, v, ent = pl.teacher_targets(
+                fold, teacher_weight, sk.n_iters, sk.teacher_temperature,
+                out=table)
             entropies.append(ent)
             at = np.flatnonzero(match[0] == i)    # student rows in fold i
-            yield table, at // m * f + np.take(match[1], at), at
+            yield e, u, v, at // m * f + np.take(match[1], at), at
 
     loss = losses_mod.tempered_cross_entropy(
         groups(), feats.reshape((b * m, -1)), weight, sk.student_temperature)

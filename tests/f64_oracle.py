@@ -24,6 +24,12 @@ _L2_EPS = 1e-8
 _COS_EPS = 1e-8
 
 
+def _materialized(factors):
+    """P = diag(u) E diag(v) in float64, from Sinkhorn's (E, u, v, H)."""
+    e, u, v, _ = factors
+    return u.astype(np.float64)[:, None] * e * v.astype(np.float64)
+
+
 def _gelu(x):
     return 0.5 * x * (1.0 + np.tanh(_GELU_C * (x + _GELU_A * x ** 3)))
 
@@ -109,9 +115,9 @@ class OracleLoss:
         # read at the matched (fold, image, row)
         sk = cfg.sinkhorn
         k, b, f, _ = patch_feats.shape
-        stacked = np.stack([teacher_targets(
-            fold, patch_weight, sk.n_iters, sk.teacher_temperature)[0]
-            for fold in patch_feats]).reshape(k, b, f, -1).astype(np.float64)
+        stacked = np.stack([_materialized(teacher_targets(
+            fold, patch_weight, sk.n_iters, sk.teacher_temperature))
+            for fold in patch_feats]).reshape(k, b, f, -1)
         fold_idx, row_idx = match[0], match[1]
         self.patch_target = stacked[fold_idx, np.arange(b)[:, None], row_idx]
         self.class_target = class_target.astype(np.float64)

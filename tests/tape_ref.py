@@ -13,7 +13,7 @@ order asked for, against its full pass in canonical patch order.
 import numpy as np
 
 from dualmim.losses import _COS_EPS, tempered_cross_entropy
-from dualmim.pseudolabel import sinkhorn_normalize
+from dualmim.pseudolabel import assignments, sinkhorn_normalize
 from dualmim.tensor import (Tensor, _unbroadcast, concat, ensure_tensor,
                             softmax)
 
@@ -89,25 +89,28 @@ def cosine_recon_loss(student_rows, target_rows):
 
 def fold_major_patch_loss(feats, weight, match, teacher_feats,
                           teacher_weight, sk):
-    """`train.patch_loss` over one table of every fold's targets.
+    """`train.patch_loss` over one materialized table of every fold's
+    targets.
 
-    The Sinkhorn targets of all K folds are stacked fold-major as
-    [K*B*F, K_c]: the student row at image b, masked position m, matched
-    to (fold, row), reads table row (fold*B + b)*F + row. One group of all
-    B*M rows, in (b, m) order. Returns (loss Tensor, mean fold entropy).
+    Each fold's Sinkhorn factors are formed into Q = diag(u) E diag(v), and
+    the K tables are stacked fold-major as [K*B*F, K_c]: the student row
+    at image b, masked position m, matched to (fold, row), reads table row
+    (fold*B + b)*F + row. One group of all B*M rows, in (b, m) order, with
+    u = v = [1]. Returns (loss Tensor, mean fold entropy).
     """
     k, b, f, _ = teacher_feats.shape
     folds = [sinkhorn_normalize(t.reshape(b * f, -1), teacher_weight,
                                 sk.n_iters, sk.teacher_temperature)
              for t in teacher_feats]
-    table = np.concatenate([q for q, _ in folds])
+    table = np.concatenate([assignments(e, u, v) for e, u, v, _ in folds])
     fold_idx, row_idx = match[0], match[1]
     m = fold_idx.shape[1]
     rows = (fold_idx * b + np.arange(b)[:, None]) * f + row_idx
+    one = np.ones(1, np.float32)
     loss = tempered_cross_entropy(
-        [(table, rows.reshape(-1), np.arange(b * m))],
+        [(table, one, one, rows.reshape(-1), np.arange(b * m))],
         feats.reshape((b * m, -1)), weight, sk.student_temperature)
-    return loss, float(np.mean([ent for _, ent in folds]))
+    return loss, float(np.mean([fold[3] for fold in folds]))
 
 
 def canonical_decoder(decoder, encoded, vis, msk):

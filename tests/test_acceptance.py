@@ -24,7 +24,8 @@ from dualmim.gradcheck import adamw_convergence, max_violation, op_suite
 from dualmim.masking import gen_mask, split_folds, validate_masking
 from dualmim.errors import ConfigError
 from dualmim.optim import AdamW, lr_at
-from dualmim.pseudolabel import nearest_patch_match_batch, sinkhorn_normalize
+from dualmim.pseudolabel import (assignments, nearest_patch_match_batch,
+                                 sinkhorn_normalize)
 from dualmim.train import Trainer, encode_features, linear_probe, pretrain
 from dualmim.vit import patchify_batch
 
@@ -83,8 +84,8 @@ def test_criterion_2_sinkhorn():
         kc = int(rng.integers(2, 512))
         # cosine-similarity domain: the head emits unit-norm dot products
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
-        q, _ = sinkhorn_normalize(scores, np.eye(kc, dtype=np.float32), 3,
-                                  0.05)
+        q = assignments(*sinkhorn_normalize(
+            scores, np.eye(kc, dtype=np.float32), 3, 0.05)[:3])
         worst_row = max(worst_row, float(np.abs(q.sum(axis=1) - 1.0).max()))
 
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
@@ -92,11 +93,12 @@ def test_criterion_2_sinkhorn():
     for _ in range(1000):
         oracle /= oracle.sum(axis=0, keepdims=True)
         oracle /= oracle.sum(axis=1, keepdims=True)
-    fixed_err = float(np.abs(sinkhorn_normalize(
-        scores, np.eye(2, dtype=np.float32), 1000, 1.0)[0] - oracle).max())
+    fixed_err = float(np.abs(assignments(*sinkhorn_normalize(
+        scores, np.eye(2, dtype=np.float32), 1000, 1.0)[:3]) - oracle).max())
 
-    uniform, _ = sinkhorn_normalize(np.zeros((8, 16), np.float32),
-                                    np.eye(16, dtype=np.float32), 3, 0.05)
+    uniform = assignments(*sinkhorn_normalize(
+        np.zeros((8, 16), np.float32), np.eye(16, dtype=np.float32), 3,
+        0.05)[:3])
     uni_err = float(np.abs(uniform - 1.0 / 16).max())
 
     ok = worst_row < 1e-5 and fixed_err < 1e-4 and uni_err < 1e-7

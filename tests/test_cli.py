@@ -75,6 +75,16 @@ def test_teacher_temperature_below_floor_exit_code_2(tmp_path, data_file):
     assert rc == 2
 
 
+def test_student_temperature_below_floor_exit_code_2(tmp_path, data_file,
+                                                     capsys):
+    rc = main(["pretrain", "--data-dir", data_file,
+               "--out", str(tmp_path / "x"),
+               "--sinkhorn.student_temperature", "0.01"] + TINY)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "student_temperature" in err and "Traceback" not in err
+
+
 def test_override_of_wrong_type_exit_code_2(tmp_path, data_file, capsys):
     rc = main(["pretrain", "--data-dir", data_file,
                "--out", str(tmp_path / "x")]

@@ -8,6 +8,7 @@ from hypothesis import assume, given, reject, settings, strategies as st
 
 from dualmim.config import TrainConfig, load_config
 from dualmim.errors import ConfigError
+from dualmim.pseudolabel import TEMPERATURE_FLOOR
 from dualmim.vit import ProjectionHeadConfig
 
 
@@ -145,6 +146,17 @@ def test_teacher_temperature_floor():
     cfg.validate()
     cfg.sinkhorn.teacher_temperature = 0.02
     with pytest.raises(ConfigError, match="teacher_temperature"):
+        cfg.validate()
+
+
+def test_student_temperature_floor():
+    """The fused cross entropy does not max-shift its logits; the floor
+    bounds them by 1/T."""
+    cfg = TrainConfig()
+    cfg.sinkhorn.student_temperature = TEMPERATURE_FLOOR
+    cfg.validate()
+    cfg.sinkhorn.student_temperature = 0.02
+    with pytest.raises(ConfigError, match="student_temperature"):
         cfg.validate()
 
 

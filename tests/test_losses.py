@@ -8,6 +8,8 @@ from dualmim.errors import NumericError
 from dualmim.losses import (CE_CHUNK_ROWS, LossWeights, cross_entropy,
                             normalize_targets, recon_loss,
                             tempered_cross_entropy, total_loss)
+from dualmim.pseudolabel import (TEMPERATURE_FLOOR, assignments,
+                                 sinkhorn_normalize)
 from dualmim.tensor import Tensor
 
 from tape_ref import cosine_recon_loss, matmul, student_assign
@@ -109,12 +111,29 @@ def test_pseudo_loss_uniform_is_log_k():
     assert abs(loss - np.log(k)) < 1e-3
 
 
+def _table_group(table, table_rows, feat_rows):
+    """A plain table of target rows as a group: E = table, u = v = 1."""
+    table = np.asarray(table, np.float32)
+    n, kc = table.shape
+    return (table, np.ones(n, np.float32), np.ones(kc, np.float32),
+            table_rows, feat_rows)
+
+
+def _factored_table(rng, n, kc):
+    """Random factors (E, u, v) whose rows of Q = diag(u) E diag(v) sum to
+    1, as Sinkhorn's row step leaves them."""
+    e = rng.random((n, kc)).astype(np.float32)
+    v = rng.uniform(0.5, 2.0, kc).astype(np.float32)
+    u = (1.0 / (e.astype(np.float64) @ v)).astype(np.float32)
+    return e, u, v
+
+
 def _ce_on_scores(p, scores, temperature):
     """The fused op on given scores: identity features make the prototype
     matrix the score matrix."""
     rows = np.asarray(p).shape[0]
     at = np.arange(rows)
-    return tempered_cross_entropy([(p, at, at)],
+    return tempered_cross_entropy([_table_group(p, at, at)],
                                   np.eye(rows, dtype=np.float32), scores,
                                   temperature)
 
@@ -157,9 +176,11 @@ def test_class_loss_is_patch_loss_on_one_row():
 
 
 def _fused_vs_composed(rows, hidden, kc, temperature, seed):
+    """The fused op on factored targets against the composed form on the
+    table Q they stand for."""
     rng = np.random.default_rng(seed)
-    table = rng.random((rows + 5, kc)).astype(np.float32)
-    table /= table.sum(axis=1, keepdims=True)
+    e, u, v = _factored_table(rng, rows + 5, kc)
+    table = assignments(e.copy(), u, v)
     target_rows = rng.integers(0, rows + 5, rows)
     x0 = rng.standard_normal((rows, hidden)).astype(np.float32)
     x0 /= np.linalg.norm(x0, axis=1, keepdims=True)
@@ -171,7 +192,8 @@ def _fused_vs_composed(rows, hidden, kc, temperature, seed):
         w = Tensor(w0, requires_grad=True)
         if fused:
             loss = tempered_cross_entropy(
-                [(table, target_rows, np.arange(rows))], x, w, temperature)
+                [(e, u, v, target_rows, np.arange(rows))], x, w,
+                temperature)
         else:
             loss = cross_entropy(table[target_rows],
                                  student_assign(matmul(x, w), temperature))
@@ -212,7 +234,7 @@ def test_fused_ce_without_grad_stays_off_tape():
     table = np.full((3, 5), 0.2, np.float32)
     x = rng.standard_normal((4, 2)).astype(np.float32)
     w = Tensor(rng.standard_normal((2, 5)).astype(np.float32))
-    groups = [(table, [0, 1, 2, 0], np.arange(4))]
+    groups = [_table_group(table, [0, 1, 2, 0], np.arange(4))]
     loss = tempered_cross_entropy(groups, x, w, 0.5)
     assert not loss.requires_grad and loss._backward is None
     tracked = tempered_cross_entropy(groups, x,
@@ -224,11 +246,12 @@ def test_fused_ce_without_grad_stays_off_tape():
 @given(rows=st.integers(1, 2 * CE_CHUNK_ROWS + 40), n_groups=st.integers(1, 4),
        kc=st.integers(2, 64), seed=st.integers(0, 2 ** 32 - 1))
 def test_fused_ce_groups_match_one_group(rows, n_groups, kc, seed):
-    """Rows split into groups, each with its own table and in any order,
-    give the loss and gradients of one group over the stacked tables."""
+    """Rows split into groups, each with its own factored table and in any
+    order, give the loss and gradients of one plain group over the stacked
+    tables."""
     rng = np.random.default_rng(seed)
-    tables = rng.random((n_groups, 3, kc)).astype(np.float32)
-    tables /= tables.sum(axis=2, keepdims=True)
+    factors = [_factored_table(rng, 3, kc) for _ in range(n_groups)]
+    tables = np.stack([assignments(e.copy(), u, v) for e, u, v in factors])
     group = rng.integers(0, n_groups, rows)
     table_rows = rng.integers(0, 3, rows)
     x0 = rng.standard_normal((rows, 4)).astype(np.float32)
@@ -243,10 +266,10 @@ def test_fused_ce_groups_match_one_group(rows, n_groups, kc, seed):
             groups = []
             for g in range(n_groups):
                 at = rng.permutation(np.flatnonzero(group == g))
-                groups.append((tables[g], table_rows[at], at))
+                groups.append((*factors[g], table_rows[at], at))
         else:
-            groups = [(tables.reshape(-1, kc), group * 3 + table_rows,
-                       np.arange(rows))]
+            groups = [_table_group(tables.reshape(-1, kc),
+                                   group * 3 + table_rows, np.arange(rows))]
         loss = tempered_cross_entropy(groups, x, w, 0.5)
         loss.backward()
         out.append((float(loss.data), x.grad, w.grad))
@@ -256,12 +279,106 @@ def test_fused_ce_groups_match_one_group(rows, n_groups, kc, seed):
     assert np.abs(wg - w1).max() < 1e-6
 
 
+@settings(derandomize=True, max_examples=40, deadline=20000, database=None)
+@given(rows=st.integers(2, 2 * CE_CHUNK_ROWS + 40), folds=st.integers(1, 3),
+       f=st.integers(2, 12), kc=st.integers(2, 64), hidden=st.integers(1, 8),
+       temperature=st.floats(0.1, 1.0), empty=st.booleans(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_factored_groups_match_f64_materialized_reference(
+        rows, folds, f, kc, hidden, temperature, empty, seed):
+    """Patch groups of real Sinkhorn factors (E, u, v) and a u = v = 1
+    class group, against a float64 reference that materializes P =
+    diag(u) E diag(v) and takes lse(z) - P.z row by row: the loss and both
+    gradients within 1e-6, relative where they exceed 1 (float32's own
+    spacing there is 1.2e-7). Two feature rows always read one table row,
+    the upper half of every fold's table is read by none, and with `empty`
+    a last fold holds no feature rows. Temperatures run from the default
+    student temperature, 0.1, up: below it the float32 logits themselves,
+    up to 1/T in size, are off the float64 ones by more than 1e-6."""
+    rng = np.random.default_rng(seed)
+
+    def unit(shape, axis):
+        a = rng.standard_normal(shape).astype(np.float32)
+        return a / np.linalg.norm(a, axis=axis, keepdims=True)
+
+    x0, w0 = unit((rows, hidden), 1), unit((hidden, kc), 0)
+    teacher_w = unit((hidden, kc), 0)
+    factors = [sinkhorn_normalize(unit((f, hidden), 1), teacher_w, 3, 0.05)
+               for _ in range(folds + empty)]
+    n_cls = rows // 4    # class rows first, one table row each
+    cls_table = rng.random((n_cls, kc)).astype(np.float32)
+    cls_table /= cls_table.sum(axis=1, keepdims=True)
+    fold_of = rng.integers(0, folds, rows - n_cls)
+    table_row = rng.integers(0, f // 2, rows - n_cls)
+    fold_of[:2], table_row[:2] = 0, 0
+    groups = [_table_group(cls_table, np.arange(n_cls), np.arange(n_cls))]
+    p = np.empty((rows, kc))
+    p[:n_cls] = cls_table
+    for k, (e, u, v, _) in enumerate(factors):
+        at = np.flatnonzero(fold_of == k)
+        groups.append((e, u, v, table_row[at], n_cls + at))
+        full = u.astype(np.float64)[:, None] * e * v.astype(np.float64)
+        p[n_cls + at] = full[table_row[at]]
+    x = Tensor(x0, requires_grad=True)
+    w = Tensor(w0, requires_grad=True)
+    loss = tempered_cross_entropy(groups, x, w, temperature)
+    loss.backward()
+    z = x0.astype(np.float64) @ w0.astype(np.float64) / temperature
+    lse = np.log(np.exp(z).sum(axis=1))
+    ref = float(np.mean(lse - (p * z).sum(axis=1)))
+    g = (np.exp(z - lse[:, None]) - p) / (rows * temperature)
+    for got, want in ((loss.data, ref), (x.grad, g @ w0.T.astype(np.float64)),
+                      (w.grad, x0.T.astype(np.float64) @ g)):
+        scale = max(1.0, np.abs(want).max())
+        assert np.abs(got - want).max() <= 1e-6 * scale
+
+
+@pytest.mark.filterwarnings("error")
+def test_fused_ce_unshifted_at_the_temperature_floor():
+    """Unit features equal to a prototype column, or to its negation, put
+    the logits at exactly +-1/T = +-40 at the floor: exp takes them
+    unshifted, and the loss and gradients match float64 within 1e-6,
+    relative where they exceed 1."""
+    rng = np.random.default_rng(21)
+    w0 = rng.standard_normal((4, 32)).astype(np.float32)
+    w0 /= np.linalg.norm(w0, axis=0)
+    x0 = np.concatenate([w0.T[:6], -w0.T[6:12]])
+    e, u, v = _factored_table(rng, 5, 32)
+    x = Tensor(x0, requires_grad=True)
+    w = Tensor(w0, requires_grad=True)
+    loss = tempered_cross_entropy([(e, u, v, np.arange(12) % 5,
+                                    np.arange(12))], x, w, TEMPERATURE_FLOOR)
+    loss.backward()
+    z = x0.astype(np.float64) @ w0 / TEMPERATURE_FLOOR
+    assert np.isclose(np.abs(z).max(), 40.0)
+    p = (u.astype(np.float64)[:, None] * e * v)[np.arange(12) % 5]
+    lse = np.log(np.exp(z).sum(axis=1))
+    g = (np.exp(z - lse[:, None]) - p) / (12 * TEMPERATURE_FLOOR)
+    for got, want in ((loss.data, np.mean(lse - (p * z).sum(axis=1))),
+                      (x.grad, g @ w0.T), (w.grad, x0.T @ g)):
+        assert np.abs(got - want).max() <= 1e-6 * max(1.0,
+                                                      np.abs(want).max())
+
+
+@pytest.mark.filterwarnings("error")
+def test_fused_ce_rejects_unbounded_logits():
+    """The logits are not max-shifted, so a row whose exp overflows raises
+    instead of returning a non-finite loss."""
+    p = np.full((2, 4), 0.25, np.float32)
+    scores = np.zeros((2, 4), np.float32)
+    assert np.isfinite(float(_ce_on_scores(p, scores, 0.01).data))
+    scores[1, 2] = 1.0     # 100 temperatures: exp overflows float32
+    with pytest.raises(ValueError, match="not finite"):
+        _ce_on_scores(p, scores, 0.01)
+
+
 def test_fused_ce_groups_must_hold_every_row():
     table = np.full((2, 5), 0.2, np.float32)
     x = np.zeros((4, 2), np.float32)
     w = Tensor(np.ones((2, 5), np.float32))
     with pytest.raises(ValueError, match="3 rows of 4"):
-        tempered_cross_entropy([(table, [0, 1, 1], [0, 1, 3])], x, w, 0.5)
+        tempered_cross_entropy([_table_group(table, [0, 1, 1], [0, 1, 3])],
+                               x, w, 0.5)
 
 
 def _scalar(v):

@@ -7,8 +7,8 @@ from scipy.special import logsumexp
 
 from dualmim.gradcheck import check_grads
 from dualmim.losses import tempered_cross_entropy
-from dualmim.pseudolabel import (TEMPERATURE_FLOOR, mean_row_entropy,
-                                 nearest_patch_match_batch,
+from dualmim.pseudolabel import (TEMPERATURE_FLOOR, assignments,
+                                 mean_row_entropy, nearest_patch_match_batch,
                                  sinkhorn_normalize, teacher_targets)
 from dualmim.tensor import Tensor
 
@@ -40,6 +40,12 @@ def _log_sinkhorn_oracle(scores, temperature, iters, row_step=False):
     return (q, np.exp(a - prev)) if row_step else q
 
 
+def _sinkhorn_q(*args, **kwargs):
+    """(Q, mean row entropy) of `sinkhorn_normalize(*args, **kwargs)`."""
+    e, u, v, entropy = sinkhorn_normalize(*args, **kwargs)
+    return assignments(e, u, v), entropy
+
+
 def _eye(scores):
     """Prototype matrix under which the features are the scores (exact)."""
     return np.eye(np.shape(scores)[1], dtype=np.float32)
@@ -54,21 +60,21 @@ def _unbatched(s, folds):
 
 def test_sinkhorn_constant_scores_uniform():
     scores = np.full((6, 4), 2.5, np.float32)
-    q, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
+    q, _ = _sinkhorn_q(scores, _eye(scores), 3, 0.05)
     assert np.allclose(q, 0.25, atol=1e-7)
 
 
 def test_sinkhorn_rows_sum_to_one():
     rng = np.random.default_rng(0)
     scores = rng.standard_normal((64, 256))
-    q, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
+    q, _ = _sinkhorn_q(scores, _eye(scores), 3, 0.05)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
 
 
 def test_sinkhorn_2x2_long_iteration_fixed_point():
     scores = np.array([[1.0, 0.0], [0.0, 1.0]], np.float32)
     oracle = _sinkhorn_oracle(scores, 1.0, 1000)
-    q, _ = sinkhorn_normalize(scores, _eye(scores), 1000, 1.0)
+    q, _ = _sinkhorn_q(scores, _eye(scores), 1000, 1.0)
     assert np.abs(q - oracle).max() < 1e-4
 
 
@@ -78,11 +84,11 @@ def test_sinkhorn_column_balance_after_3_iters():
     scores = rng.standard_normal((b, kc))
     target = b / kc
     # rebuild the column step of the third iteration on two full ones
-    q2, _ = sinkhorn_normalize(scores, _eye(scores), 2, 0.05)
+    q2, _ = _sinkhorn_q(scores, _eye(scores), 2, 0.05)
     colstep = q2 * (target / q2.sum(axis=0, dtype=np.float64))
     assert np.abs(colstep.sum(axis=0) - target).max() < 0.1 * target
     # and the third row step of it is what three iterations return
-    q3, _ = sinkhorn_normalize(scores, _eye(scores), 3, 0.05)
+    q3, _ = _sinkhorn_q(scores, _eye(scores), 3, 0.05)
     assert np.abs(colstep / colstep.sum(axis=1, keepdims=True)
                   - q3).max() < 1e-6
 
@@ -95,7 +101,7 @@ def test_sinkhorn_scaling_vectors_match_f64_oracle():
         temp = float(rng.choice([1.0, 0.1, 0.05]))
         iters = int(rng.integers(1, 6))
         scores = rng.uniform(-1.0, 1.0, (b, kc)).astype(np.float32)
-        q, _ = sinkhorn_normalize(scores, _eye(scores), iters, temp)
+        q, _ = _sinkhorn_q(scores, _eye(scores), iters, temp)
         assert q.dtype == np.float32
         assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
 
@@ -112,7 +118,7 @@ def test_sinkhorn_scores_from_feats_match_f64_oracle():
         feats /= np.linalg.norm(feats, axis=1, keepdims=True)
         weight = rng.standard_normal((h, kc)).astype(np.float32)
         weight /= np.linalg.norm(weight, axis=0, keepdims=True)
-        q, entropy = sinkhorn_normalize(feats, weight, iters, temp)
+        q, entropy = _sinkhorn_q(feats, weight, iters, temp)
         scores = feats @ weight
         assert np.abs(q - _sinkhorn_oracle(scores, temp, iters)).max() < 1e-6
         assert abs(entropy - mean_row_entropy(q)) < 1e-5
@@ -126,8 +132,8 @@ def test_sinkhorn_in_pass_entropy_matches_rows():
              # exp underflows to exactly 0 for about an eighth of the entries
              (rng.standard_normal((64, 256)), 0.05)]
     for scores, temp in cases:
-        q, entropy = sinkhorn_normalize(scores.astype(np.float32),
-                                        _eye(scores), 3, temp)
+        q, entropy = _sinkhorn_q(scores.astype(np.float32), _eye(scores), 3,
+                                 temp)
         assert abs(entropy - mean_row_entropy(q)) < 1e-5
     assert (q == 0.0).mean() > 0.05
 
@@ -179,10 +185,10 @@ def test_sinkhorn_writes_into_out():
     rng = np.random.default_rng(13)
     scores = rng.uniform(-1.0, 1.0, (12, 20)).astype(np.float32)
     out = np.empty_like(scores)
-    q, entropy = sinkhorn_normalize(scores, _eye(scores), 3, 0.1, out=out)
-    ref, ref_entropy = sinkhorn_normalize(scores, _eye(scores), 3, 0.1)
-    assert q is out
-    assert np.array_equal(q, ref) and entropy == ref_entropy
+    got = sinkhorn_normalize(scores, _eye(scores), 3, 0.1, out=out)
+    ref = sinkhorn_normalize(scores, _eye(scores), 3, 0.1)
+    assert got[0] is out
+    assert all(np.array_equal(a, b) for a, b in zip(got, ref))
 
 
 def test_sinkhorn_underflowed_column_gets_zero_mass():
@@ -213,7 +219,7 @@ def test_sinkhorn_accepts_the_full_unit_spread():
     feats = np.ones((b, 1), np.float32)
     weight = np.ones((1, kc), np.float32)
     weight[0, 3] = -1.0
-    q, entropy = sinkhorn_normalize(feats, weight, 3, TEMPERATURE_FLOOR)
+    q, entropy = _sinkhorn_q(feats, weight, 3, TEMPERATURE_FLOOR)
     scores = feats @ weight
     assert np.abs(q - _log_sinkhorn_oracle(scores, TEMPERATURE_FLOOR,
                                            3)).max() < 1e-6
@@ -257,7 +263,7 @@ def test_sinkhorn_unit_bounded_scores_properties(b, kc, h, temp, iters,
     times the 2e-6 the kernel may differ from the oracle per entry."""
     feats, weight = _unit_bounded_scores(np.random.default_rng(seed), b, kc,
                                          h, extreme)
-    q, entropy = sinkhorn_normalize(feats, weight, iters, temp)
+    q, entropy = _sinkhorn_q(feats, weight, iters, temp)
     assert np.abs(q.sum(axis=1) - 1.0).max() < 1e-5
     oracle, r = _log_sinkhorn_oracle(feats @ weight, temp, iters,
                                      row_step=True)
@@ -293,14 +299,15 @@ def test_teacher_targets_shapes_and_determinism():
     pat = rng.standard_normal((3, 4, 5, 16)).astype(np.float32)
     eye = _eye(cls[0])
     for fold in range(3):
-        q1, e1 = teacher_targets(pat[fold], eye, 3, 0.05)
-        q2, e2 = teacher_targets(pat[fold], eye, 3, 0.05)
-        assert q1.shape == (4 * 5, 16)
-        assert np.array_equal(q1, q2) and e1 == e2
-        c, _ = teacher_targets(cls[fold], eye, 3, 0.05)
-        q, _ = sinkhorn_normalize(cls[fold], eye, 3, 0.05)
-        assert c.shape == (4, 16)
-        assert np.array_equal(c, q)
+        q1 = teacher_targets(pat[fold], eye, 3, 0.05)
+        q2 = teacher_targets(pat[fold], eye, 3, 0.05)
+        assert [np.shape(a) for a in q1] == [(4 * 5, 16), (4 * 5,), (16,),
+                                             ()]
+        assert all(np.array_equal(a, b) for a, b in zip(q1, q2))
+        c = teacher_targets(cls[fold], eye, 3, 0.05)
+        q = sinkhorn_normalize(cls[fold], eye, 3, 0.05)
+        assert c[0].shape == (4, 16)
+        assert all(np.array_equal(a, b) for a, b in zip(c, q))
 
 
 def test_teacher_targets_patch_rows_and_entropy():
@@ -312,11 +319,11 @@ def test_teacher_targets_patch_rows_and_entropy():
     eye = _eye(pat[0, 0])
     out = np.empty((b * f, kc), np.float32)
     for fold in range(k):
-        got, entropy = teacher_targets(pat[fold], eye, 3, 0.05, out=out)
+        got, u, v, entropy = teacher_targets(pat[fold], eye, 3, 0.05,
+                                             out=out)
         assert got is out
-        q, _ = sinkhorn_normalize(pat[fold].reshape(b * f, kc), eye, 3,
-                                  0.05)
-        assert np.array_equal(out, q)
+        q, _ = _sinkhorn_q(pat[fold].reshape(b * f, kc), eye, 3, 0.05)
+        assert np.array_equal(assignments(out, u, v), q)
         assert abs(entropy - mean_row_entropy(q)) < 1e-5
 
 
@@ -338,12 +345,12 @@ def test_student_assign_grad_through_ce():
     rng = np.random.default_rng(4)
     s = Tensor(0.5 * rng.standard_normal((3, 6)).astype(np.float32),
                requires_grad=True)
-    p, _ = sinkhorn_normalize(rng.standard_normal((3, 6)),
-                              np.eye(6, dtype=np.float32), 3, 1.0)
+    e, u, v, _ = sinkhorn_normalize(rng.standard_normal((3, 6)),
+                                    np.eye(6, dtype=np.float32), 3, 1.0)
     # identity features make the prototype matrix the score matrix
     eye = np.eye(3, dtype=np.float32)
     rows = np.arange(3)
-    loss = lambda: tempered_cross_entropy([(p, rows, rows)], eye, s,
+    loss = lambda: tempered_cross_entropy([(e, u, v, rows, rows)], eye, s,
                                           1.0) * 0.25
     assert check_grads(loss, {"s": s}) <= 1.0
 
@@ -464,13 +471,13 @@ def _class_targets(k, b, kc, seed):
     rng = np.random.default_rng(seed)
     cls = rng.standard_normal((k, b, kc)).astype(np.float32)
     eye = np.eye(kc, dtype=np.float32)
-    return cls, np.stack([teacher_targets(c, eye, 3, 0.5)[0]
+    return cls, np.stack([assignments(*teacher_targets(c, eye, 3, 0.5)[:3])
                           for c in cls]).mean(axis=0)
 
 
 def test_class_average_single_fold_identity():
     cls, avg = _class_targets(1, 4, 8, seed=9)
-    p, _ = sinkhorn_normalize(cls[0], np.eye(8, dtype=np.float32), 3, 0.5)
+    p, _ = _sinkhorn_q(cls[0], np.eye(8, dtype=np.float32), 3, 0.5)
     assert np.array_equal(avg, p)
 
 

@@ -1,6 +1,9 @@
 """Training-loop, evaluation, and metrics-export tests on tiny configs."""
 
 import os
+import subprocess
+import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -25,7 +28,7 @@ from dualmim.vit import Encoder, patchify_batch
 
 from tape_memory import tape_bytes
 from tape_ref import fold_major_patch_loss, matmul, student_assign
-from tiny_model import composed_setup, tiny_config
+from tiny_model import composed_setup, default_patch_loss_args, tiny_config
 
 
 @pytest.fixture(scope="module")
@@ -340,6 +343,41 @@ def test_patch_targets_share_one_buffer_freed_before_backward(tiny_ds,
     assert len(written) == 3
     assert len({addr for addr, _ in written}) == 1
     assert alive_at_backward == [[False] * 3]
+
+
+def test_patch_loss_same_under_one_and_two_blas_threads():
+    """The default-shape patch loss and its gradients are the same bytes
+    under 1 and 2 OpenBLAS threads: its long reductions, E (v W)^T over
+    K_c = 4096 and (u A)^T E over B*F = 2048 rows, are products whose K
+    sum OpenBLAS does not split by thread count at these shapes."""
+    tests = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.dirname(os.path.dirname(train_mod.__file__))
+    script = "import tiny_model; print(tiny_model.patch_loss_digest())"
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, tests]),
+                   OPENBLAS_NUM_THREADS=threads)
+        digests.append(subprocess.run(
+            [sys.executable, "-c", script], env=env, check=True,
+            capture_output=True, text=True).stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+def test_default_patch_loss_peak_at_most_40_mib():
+    """One default-shape `patch_loss` call allocates at most 40 MiB at its
+    peak: the one [B*F, K_c] = [2048, 4096] float32 buffer of E (32 MiB)
+    and small products around it, with no [R, K_c] gather of target rows
+    and no target table alongside E."""
+    feats, weight, *rest = default_patch_loss_args()
+    x = Tensor(feats, requires_grad=True)
+    w = Tensor(weight, requires_grad=True)
+    tracemalloc.start()
+    try:
+        train_mod.patch_loss(x, w, *rest)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 40 << 20
 
 
 def _capture_patch_loss(monkeypatch):

@@ -1,13 +1,17 @@
 """The tiny model the composed-loss gradient check and the determinism
-tests run on, and the frozen-target loss closure that `f64_oracle` mirrors.
+tests run on, the frozen-target loss closure that `f64_oracle` mirrors,
+and the default-shape patch loss the memory and thread-count pins run.
 """
+
+import hashlib
 
 import numpy as np
 
 from dualmim import pseudolabel as pl
 from dualmim.config import TrainConfig
 from dualmim.data import Batch
-from dualmim.train import Trainer
+from dualmim.tensor import Tensor
+from dualmim.train import Trainer, patch_loss
 from dualmim.vit import ProjectionHeadConfig, ViTConfig
 
 
@@ -57,3 +61,38 @@ def composed_setup(seed=0):
 
     return trainer, batch, ctx, match, build
 
+
+def default_patch_loss_args(seed=0):
+    """`train.patch_loss` arguments at the default config's shapes (batch
+    128, K = 3 folds of F = 16 of the 48 masked positions, hidden 16,
+    K_c = 4096): unit student and teacher feature rows, unit prototype
+    columns, a random match. The student features and prototypes are
+    arrays; wrap them as Tensors to take gradients."""
+    cfg = TrainConfig()
+    b, k = cfg.optim.batch_size, cfg.masking.num_folds
+    m = int(round(cfg.masking.ratio * cfg.model.num_patches))
+    h, kc = cfg.head.hidden_dim, cfg.head.output_dim
+    rng = np.random.default_rng(seed)
+
+    def unit(shape, axis):
+        a = rng.standard_normal(shape).astype(np.float32)
+        return a / np.linalg.norm(a, axis=axis, keepdims=True)
+
+    match = (rng.integers(0, k, (b, m)), rng.integers(0, m // k, (b, m)),
+             None)
+    return (unit((b, m, h), -1), unit((h, kc), 0), match,
+            unit((k, b, m // k, h), -1), unit((h, kc), 0), cfg.sinkhorn)
+
+
+def patch_loss_digest(seed=0):
+    """SHA-256 of one default-shape `patch_loss` call: the loss, its
+    entropy and both gradients."""
+    feats, weight, *rest = default_patch_loss_args(seed)
+    x = Tensor(feats, requires_grad=True)
+    w = Tensor(weight, requires_grad=True)
+    loss, entropy = patch_loss(x, w, *rest)
+    loss.backward()
+    h = hashlib.sha256()
+    for a in (loss.data, np.float64(entropy), x.grad, w.grad):
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
